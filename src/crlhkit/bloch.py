@@ -13,18 +13,15 @@ from __future__ import annotations
 
 import cmath
 import enum
-import logging
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
-from .cell import CrlhUnitCell, resonances
+from .cell import CrlhUnitCell
 from .errors import BracketError, PoleError, SlowWaveError
 from .geometry import C0
-
-log = logging.getLogger(__name__)
 
 DEFAULT_F_START = 7.5e9
 DEFAULT_F_STOP = 12.0e9
@@ -38,6 +35,9 @@ _DEGENERATE_SINH = 1e-12
 _EDGE_TOL = 1e-9
 # Phase-pinning tolerance for stop-band classification.
 _BAND_EDGE_PIN = 1e-6
+# Brent root-solve defaults, as in scipy.optimize.brentq.
+_BRENT_RTOL = 4.0 * sys.float_info.epsilon
+_BRENT_MAXITER = 100
 
 
 @dataclass(frozen=True)
@@ -171,21 +171,8 @@ def classify(beta: float, alpha: float, k0: float, period: float) -> Region:
     return Region.GUIDED_SLOW_WAVE
 
 
-def _sample(cell: CrlhUnitCell, f: float, f_shunt: float) -> DispersionPoint:
-    try:
-        m = unit_cell_abcd(cell, f)
-    except PoleError:
-        # An ideal cell sitting exactly on a branch pole: step 1 Hz off the
-        # shunt resonance and keep the sample.
-        f_off = f_shunt + 1.0 if f >= f_shunt else f_shunt - 1.0
-        log.info(
-            "branch pole at %.9g Hz; sampling at %+g Hz offset instead",
-            f,
-            f_off - f,
-        )
-        f = f_off
-        m = unit_cell_abcd(cell, f)
-    beta, alpha = bloch_gamma(m, cell.period)
+def _sample(cell: CrlhUnitCell, f: float) -> DispersionPoint:
+    beta, alpha = bloch_gamma(unit_cell_abcd(cell, f), cell.period)
     k0 = 2.0 * math.pi * f / C0
     region = classify(beta, alpha, k0, cell.period)
     return DispersionPoint(f=f, beta=beta, alpha=alpha, k0=k0, region=region)
@@ -197,13 +184,64 @@ def dispersion_sweep(
     f_stop: float = DEFAULT_F_STOP,
     n_points: int = DEFAULT_N_POINTS,
 ) -> list[DispersionPoint]:
-    """Classified dispersion samples on a uniform frequency grid."""
+    """Classified dispersion samples on a uniform frequency grid.
+
+    Raises PoleError at the first grid frequency whose chain matrix
+    overflows.
+    """
     if not 0.0 < f_start < f_stop:
         raise ValueError(f"need 0 < f_start < f_stop, got ({f_start}, {f_stop})")
     if n_points < 2:
         raise ValueError(f"n_points must be >= 2, got {n_points}")
-    f_shunt = resonances(cell).omega_sh / (2.0 * math.pi)
-    return [_sample(cell, float(f), f_shunt) for f in np.linspace(f_start, f_stop, n_points)]
+    return [_sample(cell, float(f)) for f in np.linspace(f_start, f_stop, n_points)]
+
+
+def _brentq(f, xpre, xcur, fpre, fcur, xtol, maxiter=_BRENT_MAXITER):
+    """Root of f between xpre and xcur, where f has values fpre and fcur
+    of opposite sign.
+
+    Brent's bracketed solver (Brent, Algorithms for Minimization without
+    Derivatives, 1973, ch. 4) in the operation order of
+    scipy.optimize.brentq, so every iterate is bit-identical to scipy's.
+    Converged when half the bracket is below (xtol + _BRENT_RTOL |x|) / 2;
+    raises BracketError after maxiter steps without convergence.
+    """
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # inverse quadratic interpolation
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0.0 else -delta
+        fcur = f(xcur)
+    raise BracketError(
+        f"root solve did not converge in {maxiter} iterations (last x = {xcur:.9g})"
+    )
 
 
 def transition_frequency(
@@ -214,7 +252,9 @@ def transition_frequency(
     """Frequency where beta crosses zero, bracketed to 1 kHz by default.
 
     The bracket endpoints must straddle the sign change; Brent iteration
-    (bracketing, derivative-free) refines the root.
+    (bracketing, derivative-free, with inverse-quadratic and secant steps)
+    refines the root. Raises BracketError when beta has the same sign at
+    both ends or the iteration does not converge.
     """
     f_lo, f_hi = bracket
     if not 0.0 < f_lo < f_hi:
@@ -233,7 +273,7 @@ def transition_frequency(
             f"beta does not change sign over [{f_lo:.9g}, {f_hi:.9g}] Hz "
             f"(beta = {b_lo:.6g} and {b_hi:.6g} rad/m)"
         )
-    return float(brentq(beta_of, f_lo, f_hi, xtol=xtol))
+    return float(_brentq(beta_of, f_lo, f_hi, b_lo, b_hi, xtol))
 
 
 def scan_angle(beta: float, f: float) -> float:

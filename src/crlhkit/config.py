@@ -12,6 +12,7 @@ files adjusting a key or two are fine.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, replace
 from importlib import resources
@@ -78,6 +79,17 @@ class RunConfig:
     series_combination: str = "half"
 
     def __post_init__(self):
+        scalars = {
+            "freq_start": self.f_start,
+            "freq_stop": self.f_stop,
+            "z_bloch_ohm": self.z_bloch,
+            "z0_line_ohm": self.z0_line,
+            "sheet resistance": self.sheet_resistance,
+            **{f"target for the {n}-finger state": f0 for n, f0 in self.targets.items()},
+        }
+        for name, value in scalars.items():
+            if value is not None and not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
         if not 0.0 < self.f_start < self.f_stop:
             raise ConfigError(
                 f"need 0 < freq_start < freq_stop, got ({self.f_start}, {self.f_stop}) Hz"
@@ -112,7 +124,7 @@ def parse_config_text(text: str, source: str = "<config>") -> dict:
     """Parse `key = value` lines into a typed mapping.
 
     Raises ConfigError, naming file and line, for unknown keys, duplicate
-    keys, or malformed values.
+    keys, or malformed or non-finite values.
     """
     values: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -136,6 +148,8 @@ def parse_config_text(text: str, source: str = "<config>") -> dict:
                 values[key] = float(value)
             except ValueError:
                 raise ConfigError(f"{source}:{lineno}: {key} needs a number, got {value!r}") from None
+            if not math.isfinite(values[key]):
+                raise ConfigError(f"{source}:{lineno}: {key} must be finite, got {value!r}")
         elif key in _INT_KEYS:
             try:
                 values[key] = int(value)

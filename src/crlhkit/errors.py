@@ -14,7 +14,7 @@ class SlowWaveError(CrlhError, ValueError):
 
 
 class BracketError(CrlhError):
-    """A root bracket does not contain a sign change."""
+    """A root bracket has no sign change, or its solve does not converge."""
 
 
 class PoleError(CrlhError):

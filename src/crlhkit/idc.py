@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.integrate import quad
-
 from .geometry import C0, IdcGeometry, SubstrateSpec, to_cm, to_um
 
 # Empirical per-finger capacitance slopes of the printed estimate [pF/cm].
@@ -67,22 +65,23 @@ def elliptic_ratio(k: float) -> float:
     return math.pi / math.log(2.0 * (1.0 + math.sqrt(k_prime)) / (1.0 - math.sqrt(k_prime)))
 
 
-def elliptic_ratio_quadrature(k: float) -> float:
-    """Exact K(k)/K'(k) by adaptive quadrature of the defining integrals.
+def _agm(a: float, b: float) -> float:
+    """Arithmetic-geometric mean; converges quadratically."""
+    while abs(a - b) > 1e-15 * a:
+        a, b = (a + b) / 2.0, math.sqrt(a * b)
+    return a
 
-    Test oracle for elliptic_ratio; the extraction path never calls it.
+
+def elliptic_ratio_quadrature(k: float) -> float:
+    """Exact K(k)/K'(k) from the arithmetic-geometric mean.
+
+    K(k) = pi / (2 AGM(1, k')) (Abramowitz & Stegun 17.6), so the ratio is
+    AGM(1, k) / AGM(1, k'), good to machine precision. Test oracle for
+    elliptic_ratio; the extraction path never calls it.
     """
     if not 0.0 < k < 1.0:
         raise ValueError(f"modulus k must lie strictly inside (0, 1), got {k}")
-
-    def complete_k(modulus: float) -> float:
-        def integrand(t: float) -> float:
-            return 1.0 / math.sqrt(1.0 - (modulus * math.sin(t)) ** 2)
-
-        value, _ = quad(integrand, 0.0, math.pi / 2.0, epsabs=1e-12, epsrel=1e-12)
-        return value
-
-    return complete_k(k) / complete_k(math.sqrt(1.0 - k * k))
+    return _agm(1.0, k) / _agm(1.0, math.sqrt(1.0 - k * k))
 
 
 def modulus_from_geometry(g: IdcGeometry) -> EllipticModulus:

@@ -82,7 +82,7 @@ def check_capacitance_anchor(config: RunConfig) -> CheckResult:
 
 
 def check_elliptic_ratio() -> CheckResult:
-    """Closed-form K/K' tracks quadrature and is continuous at the split."""
+    """Closed-form K/K' tracks the exact AGM ratio and is continuous at the split."""
     worst = 0.0
     for k in np.linspace(0.05, 0.95, 50):
         approx = idc.elliptic_ratio(float(k))

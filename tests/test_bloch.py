@@ -1,14 +1,17 @@
 import cmath
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from crlhkit.bloch import (
     Region,
     TwoPortAbcd,
+    _brentq,
     bloch_gamma,
     classify,
     dispersion_sweep,
@@ -26,6 +29,10 @@ C0 = CONSTANTS.c0
 
 def k0_of(f):
     return 2.0 * math.pi * f / C0
+
+
+def beta_function(cell):
+    return lambda f: bloch_gamma(unit_cell_abcd(cell, f), cell.period)[0]
 
 
 class TestAbcd:
@@ -187,6 +194,12 @@ class TestDispersionSweep:
         nearest = min(pts, key=lambda pt: abs(pt.f - f_mid))
         assert nearest.region is Region.EVANESCENT
 
+    def test_overflowing_grid_point_is_a_pole_error(self, cells):
+        # 5e305 Hz overflows the chain matrix; no sample may stand in for it
+        with pytest.raises(PoleError) as err:
+            dispersion_sweep(cells[4], 1e9, 1e306, 3)
+        assert err.value.frequency == 5e305
+
     def test_invalid_grid_rejected(self, cells):
         with pytest.raises(ValueError):
             dispersion_sweep(cells[4], 9e9, 8e9)
@@ -218,6 +231,36 @@ class TestTransition:
     def test_invalid_bracket_rejected(self, cells):
         with pytest.raises(ValueError):
             transition_frequency(cells[4], bracket=(9e9, 8e9))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.sampled_from([2, 3, 4]),
+        scales=st.tuples(*[st.floats(min_value=0.8, max_value=1.25)] * 4),
+        r_series=st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=5.0)),
+        f_lo=st.floats(min_value=1e9, max_value=7e9),
+        f_hi=st.floats(min_value=14e9, max_value=40e9),
+        xtol=st.sampled_from([1e3, 1.0, 1e-3]),
+    )
+    def test_brent_port_is_bit_identical_to_scipy(self, cells, n, scales, r_series, f_lo, f_hi, xtol):
+        base = cells[n]
+        cell = replace(
+            base,
+            l_r=base.l_r * scales[0],
+            c_r=base.c_r * scales[1],
+            l_l=base.l_l * scales[2],
+            c_l=base.c_l * scales[3],
+            r_series=r_series,
+        )
+        beta_of = beta_function(cell)
+        b_lo, b_hi = beta_of(f_lo), beta_of(f_hi)
+        assume(b_lo != 0.0 and b_hi != 0.0 and (b_lo < 0.0) != (b_hi < 0.0))
+        assert _brentq(beta_of, f_lo, f_hi, b_lo, b_hi, xtol) == brentq(beta_of, f_lo, f_hi, xtol=xtol)
+
+    def test_brent_non_convergence_is_a_bracket_error(self, cells):
+        beta_of = beta_function(cells[4])
+        f_lo, f_hi = 7.5e9, 12.0e9
+        with pytest.raises(BracketError, match="did not converge in 1 iterations"):
+            _brentq(beta_of, f_lo, f_hi, beta_of(f_lo), beta_of(f_hi), 1e3, maxiter=1)
 
 
 class TestScanAngle:

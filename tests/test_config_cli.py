@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
@@ -115,6 +116,27 @@ class TestConfigParsing:
                 f_stop=9e9,
                 n_points=11,
             )
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("h_mm = nan", "h_mm must be finite"),
+            ("epsilon_r = nan", "epsilon_r must be finite"),
+            ("period_mm = inf", "period_mm must be finite"),
+        ],
+    )
+    def test_non_finite_config_value_rejected(self, tmp_path, capsys, line, message):
+        path = write_cfg(tmp_path, f"fingers = 4\n{line}\n")
+        assert main(["reproduce", "--config", path]) == 1
+        captured = capsys.readouterr()
+        assert f"{path}:2: {message}" in captured.err
+        assert captured.out == ""
+
+    def test_non_finite_cli_override_rejected(self, capsys):
+        assert main(["dispersion", "--freq-start", "nan"]) == 1
+        assert "freq_start must be finite" in capsys.readouterr().err
+        with pytest.raises(ConfigError, match="freq_stop must be finite"):
+            replace(load_profile("paper-default"), f_stop=float("inf"))
 
     def test_idc_geometry_refingering(self):
         cfg = load_profile("paper-default")
@@ -288,3 +310,18 @@ class TestCliCommands:
         )
         assert proc.returncode == 0
         assert "crlhkit" in proc.stdout
+
+    def test_cli_import_loads_no_scipy(self):
+        # numpy is the only runtime dependency; scipy is a test oracle only
+        proc = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "import sys, crlhkit.cli; "
+                "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))",
+            ],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

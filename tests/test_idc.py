@@ -1,8 +1,10 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ellipk
 
 from crlhkit.geometry import IdcGeometry, default_idc, default_substrate
 from crlhkit.idc import (
@@ -77,6 +79,17 @@ class TestEllipticRatio:
 
     def test_quadrature_sanity(self):
         assert elliptic_ratio_quadrature(1.0 / math.sqrt(2.0)) == pytest.approx(1.0, rel=1e-9)
+
+    @pytest.mark.parametrize("k", np.linspace(0.001, 0.999, 41))
+    def test_agm_ratio_matches_scipy_ellipk(self, k):
+        # scipy's ellipk takes the parameter m = k^2
+        expected = ellipk(k * k) / ellipk(1.0 - k * k)
+        assert elliptic_ratio_quadrature(float(k)) == pytest.approx(expected, rel=1e-10)
+
+    @pytest.mark.parametrize("k", [0.0, 1.0, float("nan")])
+    def test_agm_ratio_domain(self, k):
+        with pytest.raises(ValueError):
+            elliptic_ratio_quadrature(k)
 
 
 class TestModulus:
