@@ -7,7 +7,8 @@ plot-ready CSV/JSON datasets.
 """
 
 from .bloch import (
-    DispersionPoint,
+    REGIONS,
+    DispersionSweep,
     Region,
     TwoPortAbcd,
     bloch_gamma,
@@ -52,7 +53,6 @@ from .idc import (
 from .radiation import (
     RadiationPattern,
     array_factor,
-    main_beam_vs_frequency,
     pattern_for_frequency,
 )
 
@@ -64,11 +64,12 @@ __all__ = [
     "ConfigError",
     "CrlhError",
     "CrlhUnitCell",
-    "DispersionPoint",
+    "DispersionSweep",
     "EllipticModulus",
     "IdcGeometry",
     "IdcLumpedModel",
     "PoleError",
+    "REGIONS",
     "RadiationPattern",
     "Region",
     "ResonancePair",
@@ -93,7 +94,6 @@ __all__ = [
     "is_balanced",
     "l_c_from_line_theory",
     "load_profile",
-    "main_beam_vs_frequency",
     "modulus_from_geometry",
     "pattern_for_frequency",
     "r_series",

@@ -7,11 +7,13 @@ already gives the decaying root (alpha >= 0), and where the Bloch
 impedance has a meaningful real part its sign fixes beta so power flows in
 +z. That makes beta negative in the left-handed pass band and positive in
 the right-handed one, rising through zero at the transition frequency.
+
+Every sample goes through one numpy kernel over an array of frequencies
+(_chain, then _gamma, then classify); a scalar caller passes one frequency.
 """
 
 from __future__ import annotations
 
-import cmath
 import enum
 import math
 import sys
@@ -26,6 +28,10 @@ from .geometry import C0
 DEFAULT_F_START = 7.5e9
 DEFAULT_F_STOP = 12.0e9
 DEFAULT_N_POINTS = 451
+# Largest sweep grid, 66x the 15001-point grid of a dense sweep. A sweep
+# holds about a dozen float64 and complex128 arrays of this length at once,
+# so the cap bounds its memory by the input rather than by the machine.
+MAX_N_POINTS = 1_000_000
 
 # Attenuation floor separating numerical residue from a real stop band.
 _EVANESCENT_ALPHA_NP_PER_M = 1e-6
@@ -76,106 +82,144 @@ class Region(enum.Enum):
     EVANESCENT = "evanescent"
 
 
+# DispersionSweep.region and classify() give each region as its index here.
+REGIONS = tuple(Region)
+_LH, _RH, _SLOW, _EVANESCENT = range(len(REGIONS))
+
+
 @dataclass(frozen=True)
-class DispersionPoint:
-    """One classified sample of the Bloch curve."""
+class DispersionSweep:
+    """Classified Bloch samples on a frequency grid, one read-only column each.
 
-    f: float            # [Hz]
-    beta: float         # [rad/m]
-    alpha: float        # [Np/m]
-    k0: float           # [rad/m]
-    region: Region
+    region holds indices into REGIONS. leaky marks the fast-wave samples,
+    and scan_deg is their beam angle asin(beta/k0) in degrees, NaN on every
+    other sample.
+    """
+
+    f: np.ndarray         # [Hz]
+    beta: np.ndarray      # [rad/m]
+    alpha: np.ndarray     # [Np/m]
+    k0: np.ndarray        # [rad/m]
+    region: np.ndarray    # int8 index into REGIONS
+    leaky: np.ndarray     # bool
+    scan_deg: np.ndarray  # [deg]
+
+    def __post_init__(self):
+        for column in vars(self).values():
+            column.flags.writeable = False
+
+    def scan_profile(self) -> list[tuple[float, float]]:
+        """(f, scan angle) of each leaky sample, in grid order."""
+        return list(zip(self.f[self.leaky].tolist(), self.scan_deg[self.leaky].tolist()))
 
 
-def series_impedance(cell: CrlhUnitCell, f: float) -> complex:
-    """Full series-branch impedance: r + j(w L_R - 1/(w C_L))."""
+def _k0(f):
+    """Free-space wavenumber 2 pi f / c0 [rad/m]."""
+    return 2.0 * math.pi * f / C0
+
+
+def _chain(cell: CrlhUnitCell, f: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Chain-matrix entries a (= d), b and c of one symmetric-T cell at each f.
+
+    Half the series branch z = r + j(w L_R - 1/(w C_L)), the full shunt
+    tank y = j(w C_R - 1/(w L_L)), then the other half; the cascade
+    collapses to a = d = 1 + zy/2, b = z + z^2 y/4, c = y.
+
+    Raises ValueError for a frequency that is not positive, and PoleError
+    at the first frequency where an entry comes out non-finite. With
+    positive elements that is float overflow, not a real pole: the shunt
+    resonance of this topology is an admittance zero. Callers silence
+    numpy's floating-point warnings, since overflow is reported this way.
+    """
+    if (f <= 0.0).any():
+        raise ValueError(f"frequency must be positive, got {f[f <= 0.0][0]}")
     w = 2.0 * math.pi * f
-    return complex(cell.r_series, w * cell.l_r - 1.0 / (w * cell.c_l))
-
-
-def shunt_admittance(cell: CrlhUnitCell, f: float) -> complex:
-    """Shunt-branch admittance of the C_R parallel L_L tank."""
-    w = 2.0 * math.pi * f
-    return complex(0.0, w * cell.c_r - 1.0 / (w * cell.l_l))
+    z = np.empty(f.shape, dtype=complex)
+    z.real = cell.r_series
+    z.imag = w * cell.l_r - 1.0 / (w * cell.c_l)
+    y = np.empty(f.shape, dtype=complex)
+    y.real = 0.0
+    y.imag = w * cell.c_r - 1.0 / (w * cell.l_l)
+    zh = 0.5 * z
+    a = 1.0 + zh * y
+    b = z + zh * zh * y
+    bad = ~(np.isfinite(a) & np.isfinite(b) & np.isfinite(y))
+    if bad.any():
+        raise PoleError(
+            float(f[bad.argmax()]), "chain-matrix entries are non-finite at a branch resonance"
+        )
+    return a, b, y
 
 
 def unit_cell_abcd(cell: CrlhUnitCell, f: float) -> TwoPortAbcd:
-    """Chain matrix of one symmetric-T cell at frequency f.
-
-    Half the series branch (L_R/2 with doubled C_L), the full shunt tank,
-    then the other half; the cascade collapses to
-    a = d = 1 + zy/2, b = z + z^2 y/4, c = y.
-
-    Raises PoleError if any entry comes out non-finite (an exact branch
-    pole); with positive elements and f > 0 that cannot happen for this
-    topology, where the shunt resonance is an admittance zero, not a pole.
-    """
-    if f <= 0.0:
-        raise ValueError(f"frequency must be positive, got {f}")
-    z = series_impedance(cell, f)
-    y = shunt_admittance(cell, f)
-    zh = 0.5 * z
-    a = 1.0 + zh * y
-    m = TwoPortAbcd(a=a, b=z + zh * zh * y, c=y, d=a)
-    if not all(cmath.isfinite(v) for v in (m.a, m.b, m.c, m.d)):
-        raise PoleError(f, "chain-matrix entries are non-finite at a branch resonance")
-    return m
+    """Chain matrix of one cell at frequency f (see _chain)."""
+    with np.errstate(all="ignore"):
+        entries = _chain(cell, np.array([f], dtype=float))
+    a, b, c = (complex(v[0]) for v in entries)
+    return TwoPortAbcd(a=a, b=b, c=c, d=a)
 
 
-def bloch_gamma(m: TwoPortAbcd, p: float) -> tuple[float, float]:
-    """Per-cell propagation constant (beta [rad/m], alpha [Np/m]).
+def _gamma(a: np.ndarray, b: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray]:
+    """(beta, alpha) from the chain entries a and b; see bloch_gamma."""
+    # principal arccosh in the form of CPython's cmath.acosh (Kahan's
+    # sqrt(a - 1), sqrt(a + 1) split), so that a lossless pass band gets
+    # alpha of exactly 0 and digits match a scalar cmath evaluation
+    s1 = np.sqrt(a - 1.0)
+    s2 = np.sqrt(a + 1.0)
+    gp = np.empty(a.shape, dtype=complex)
+    gp.real = np.arcsinh(s1.real * s2.real + s1.imag * s2.imag)
+    gp.imag = 2.0 * np.arctan2(s1.imag, s2.real)
+    s = np.sinh(gp)
+    z_bloch = b / s
+    forward = (np.abs(s) > _DEGENERATE_SINH) & (np.abs(z_bloch.real) > 1e-9 * np.abs(z_bloch))
+    gp = np.where(forward & (z_bloch.real < 0.0), -gp, gp)
+    edge = ~forward & (np.abs(np.abs(gp.imag) - math.pi) < _EDGE_TOL) & (b.imag != 0.0)
+    beta_p = np.where(edge, -np.copysign(math.pi, b.imag), gp.imag)
+    # + 0.0 collapses a signed zero from the flip
+    alpha = np.where(forward, gp.real / p + 0.0, np.abs(gp.real) / p)
+    return beta_p / p, alpha
 
-    Solves cosh(gamma p) = (a + d)/2 on the principal branch (alpha >= 0,
-    |beta p| <= pi). When the Bloch impedance b/sinh(gamma p) has a
-    significant real part, its sign selects the forward-power root. In
-    lossless stop bands the impedance is purely reactive and beta p is
+
+def bloch_gamma(cell: CrlhUnitCell, f):
+    """Per-cell propagation constant (beta [rad/m], alpha [Np/m]) at f.
+
+    f is one frequency (floats come back) or a 1-D array (arrays come
+    back). Solves cosh(gamma p) = (a + d)/2 on the principal branch
+    (alpha >= 0, |beta p| <= pi). When the Bloch impedance b/sinh(gamma p)
+    has a significant real part, its sign selects the forward-power root.
+    In lossless stop bands the impedance is purely reactive and beta p is
     pinned at 0 or pi; the pi-edge sign is taken opposite to the series
     reactance so swept curves continue the adjacent pass band instead of
     jumping between +pi and -pi.
     """
-    if p <= 0.0:
-        raise ValueError(f"period must be positive, got {p}")
-    x = (m.a + m.d) / 2.0
-    gp = cmath.acosh(complex(x))
-    s = cmath.sinh(gp)
-    if abs(s) > _DEGENERATE_SINH:
-        z_bloch = m.b / s
-        if abs(z_bloch.real) > 1e-9 * abs(z_bloch):
-            if z_bloch.real < 0.0:
-                gp = -gp
-            # + 0.0 collapses a signed zero from the flip
-            return gp.imag / p, gp.real / p + 0.0
-    # Reactive or degenerate: lossless stop band, band edge, or transition.
-    alpha = abs(gp.real) / p
-    beta_p = gp.imag
-    if abs(abs(beta_p) - math.pi) < _EDGE_TOL and m.b.imag != 0.0:
-        beta_p = -math.copysign(math.pi, m.b.imag)
-    return beta_p / p, alpha
+    freqs = np.asarray(f, dtype=float)
+    with np.errstate(all="ignore"):
+        a, b, _ = _chain(cell, freqs.reshape(-1))
+        beta, alpha = _gamma(a, b, cell.period)
+    if freqs.ndim == 0:
+        return float(beta[0]), float(alpha[0])
+    return beta, alpha
 
 
-def classify(beta: float, alpha: float, k0: float, period: float) -> Region:
-    """Region of one (beta, alpha) sample.
+def classify(beta, alpha, k0, period: float) -> np.ndarray:
+    """Region of each (beta, alpha) sample, as indices into REGIONS.
 
     A sample is evanescent when it attenuates with its phase pinned at a
     band edge (beta p of 0 or +-pi, exact for the lossless topology);
     otherwise fast waves (|beta| < k0) leak and slow waves are guided.
     """
-    if alpha > _EVANESCENT_ALPHA_NP_PER_M:
-        beta_p = abs(beta) * period
-        if beta_p < _BAND_EDGE_PIN or abs(beta_p - math.pi) < _BAND_EDGE_PIN:
-            return Region.EVANESCENT
-    if abs(beta) < k0:
-        if beta < 0.0:
-            return Region.LEFT_HANDED_LEAKY
-        return Region.RIGHT_HANDED_LEAKY
-    return Region.GUIDED_SLOW_WAVE
+    beta_p = np.abs(beta) * period
+    pinned = (alpha > _EVANESCENT_ALPHA_NP_PER_M) & (
+        (beta_p < _BAND_EDGE_PIN) | (np.abs(beta_p - math.pi) < _BAND_EDGE_PIN)
+    )
+    leaky = np.where(beta < 0.0, _LH, _RH)
+    return np.where(pinned, _EVANESCENT, np.where(np.abs(beta) < k0, leaky, _SLOW)).astype(np.int8)
 
 
-def _sample(cell: CrlhUnitCell, f: float) -> DispersionPoint:
-    beta, alpha = bloch_gamma(unit_cell_abcd(cell, f), cell.period)
-    k0 = 2.0 * math.pi * f / C0
-    region = classify(beta, alpha, k0, cell.period)
-    return DispersionPoint(f=f, beta=beta, alpha=alpha, k0=k0, region=region)
+def _scan_deg(beta, k0):
+    """asin(beta/k0) in degrees; NaN where |beta| > k0."""
+    with np.errstate(invalid="ignore"):
+        return np.degrees(np.arcsin(beta / k0))
 
 
 def dispersion_sweep(
@@ -183,17 +227,26 @@ def dispersion_sweep(
     f_start: float = DEFAULT_F_START,
     f_stop: float = DEFAULT_F_STOP,
     n_points: int = DEFAULT_N_POINTS,
-) -> list[DispersionPoint]:
-    """Classified dispersion samples on a uniform frequency grid.
+) -> DispersionSweep:
+    """Classified dispersion samples on a uniform frequency grid, as columns.
 
-    Raises PoleError at the first grid frequency whose chain matrix
-    overflows.
+    Raises ValueError for an empty or reversed band or for n_points outside
+    2..MAX_N_POINTS, and PoleError at the first grid frequency whose chain
+    matrix overflows.
     """
     if not 0.0 < f_start < f_stop:
         raise ValueError(f"need 0 < f_start < f_stop, got ({f_start}, {f_stop})")
-    if n_points < 2:
-        raise ValueError(f"n_points must be >= 2, got {n_points}")
-    return [_sample(cell, float(f)) for f in np.linspace(f_start, f_stop, n_points)]
+    if not 2 <= n_points <= MAX_N_POINTS:
+        raise ValueError(f"n_points must be within 2..{MAX_N_POINTS}, got {n_points}")
+    f = np.linspace(f_start, f_stop, n_points)
+    beta, alpha = bloch_gamma(cell, f)
+    k0 = _k0(f)
+    region = classify(beta, alpha, k0, cell.period)
+    leaky = (region == _LH) | (region == _RH)
+    scan = np.where(leaky, _scan_deg(beta, k0), np.nan)
+    return DispersionSweep(
+        f=f, beta=beta, alpha=alpha, k0=k0, region=region, leaky=leaky, scan_deg=scan
+    )
 
 
 def _brentq(f, xpre, xcur, fpre, fcur, xtol, maxiter=_BRENT_MAXITER):
@@ -261,7 +314,7 @@ def transition_frequency(
         raise ValueError(f"need 0 < f_lo < f_hi, got ({f_lo}, {f_hi})")
 
     def beta_of(f: float) -> float:
-        return bloch_gamma(unit_cell_abcd(cell, f), cell.period)[0]
+        return bloch_gamma(cell, f)[0]
 
     b_lo, b_hi = beta_of(f_lo), beta_of(f_hi)
     if b_lo == 0.0:
@@ -284,13 +337,13 @@ def scan_angle(beta: float, f: float) -> float:
     """
     if f <= 0.0:
         raise ValueError(f"frequency must be positive, got {f}")
-    k0 = 2.0 * math.pi * f / C0
+    k0 = _k0(f)
     if abs(beta) > k0:
         raise SlowWaveError(
             f"|beta| = {abs(beta):.6g} rad/m exceeds k0 = {k0:.6g} rad/m at "
             f"{f:.6g} Hz: guided slow wave, no radiation angle"
         )
-    return math.degrees(math.asin(beta / k0))
+    return float(_scan_deg(beta, k0))
 
 
 def scan_profile(
@@ -300,8 +353,4 @@ def scan_profile(
     n_points: int = DEFAULT_N_POINTS,
 ) -> list[tuple[float, float]]:
     """(f, scan angle) over the fast-wave samples of a sweep."""
-    profile = []
-    for pt in dispersion_sweep(cell, f_start, f_stop, n_points):
-        if pt.region in (Region.LEFT_HANDED_LEAKY, Region.RIGHT_HANDED_LEAKY):
-            profile.append((pt.f, scan_angle(pt.beta, pt.f)))
-    return profile
+    return dispersion_sweep(cell, f_start, f_stop, n_points).scan_profile()

@@ -15,12 +15,7 @@ from typing import Mapping
 
 from . import idc
 from .errors import ConfigError
-from .geometry import (
-    CellGeometry,
-    SubstrateSpec,
-    SwitchState,
-    finger_count_for_state,
-)
+from .geometry import CellGeometry, SubstrateSpec
 
 DEFAULT_Z_BLOCH = 50.0
 DEFAULT_BALANCE_TOL = 1e-3
@@ -108,7 +103,7 @@ def calibrate_balanced(
 
 
 def cell_for_state(
-    state: SwitchState,
+    n: int,
     sub: SubstrateSpec,
     geom: CellGeometry,
     targets: Mapping[int, float],
@@ -119,20 +114,20 @@ def cell_for_state(
     sheet_resistivity: float = 0.0,
     line_z0: float | None = None,
 ) -> CrlhUnitCell:
-    """Calibrated cell for one switch state.
+    """Calibrated cell for the switch state with n active fingers.
 
-    The series capacitance comes from the capacitor extraction at that
-    state's finger count, looked up in `targets` (finger count to broadside
-    frequency in Hz). Each period carries two capacitors in its through
-    path, so the default combination is 'half' (C_L = C_series / 2, the two
-    in series); 'full' assigns one capacitor per period instead.
+    The series capacitance comes from the capacitor extraction at n
+    fingers, and the broadside frequency is looked up in `targets` (finger
+    count to broadside frequency in Hz). Each period carries two capacitors
+    in its through path, so the default combination is 'half' (C_L =
+    C_series / 2, the two in series); 'full' assigns one capacitor per
+    period instead.
 
     With include_parasitics, the extracted finger resistance enters the
     series branch and the inner-side shunt capacitances merge into C_R,
     both scaled by the capacitor count implied by the combination; balance
     then holds for the ideal part only.
     """
-    n = finger_count_for_state(state)
     try:
         f0 = targets[n]
     except KeyError:

@@ -9,8 +9,6 @@ on any platform.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import logging
 import math
@@ -19,17 +17,15 @@ import sys
 from dataclasses import replace
 
 from . import __version__
-from .bloch import Region, dispersion_sweep, scan_angle, scan_profile, transition_frequency
-from .cell import cell_for_state, is_balanced, resonances
+from .bloch import REGIONS, DispersionSweep, dispersion_sweep, transition_frequency
+from .cell import is_balanced, resonances
 from .config import PROFILE_ENV_VAR, RunConfig, resolve_config
 from .errors import BracketError, CrlhError
-from .geometry import state_for_finger_count
 from .idc import extract, modulus_from_geometry
 from .radiation import DEFAULT_LEAKAGE_NP_PER_CELL, pattern_for_frequency
 from .selfcheck import format_report, run_all
 
 _GHZ = 1e9
-_LEAKY = (Region.LEFT_HANDED_LEAKY, Region.RIGHT_HANDED_LEAKY)
 
 
 def fmt(x: float) -> str:
@@ -75,11 +71,8 @@ def _write_text(text: str, out_dir: str | None, filename: str) -> None:
 
 
 def _csv_text(header: list[str], rows: list[list[str]]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+    """Header and rows as CSV; no field ever holds a comma or a quote."""
+    return "".join(",".join(row) + "\n" for row in [header, *rows])
 
 
 def _kv_csv(pairs: dict) -> str:
@@ -87,18 +80,8 @@ def _kv_csv(pairs: dict) -> str:
     return _csv_text(["key", "value"], rows)
 
 
-def _cell_from_config(config: RunConfig):
-    state = state_for_finger_count(config.fingers)
-    return cell_for_state(
-        state,
-        config.substrate,
-        config.cell_geometry,
-        config.targets,
-        z_c=config.z_bloch,
-        series_combination=config.series_combination,
-        sheet_resistivity=config.sheet_resistance,
-        line_z0=config.z0_line,
-    )
+def _sweep(cell, config: RunConfig) -> DispersionSweep:
+    return dispersion_sweep(cell, config.f_start, config.f_stop, config.n_points)
 
 
 # ---------------------------------------------------------------- commands
@@ -132,7 +115,7 @@ def cmd_idc(config: RunConfig, args) -> int:
 
 
 def cmd_cell_calibrate(config: RunConfig, args) -> int:
-    cell = _cell_from_config(config)
+    cell = config.cell()
     pair = resonances(cell)
     doc = {
         "n_fingers": config.fingers,
@@ -160,26 +143,6 @@ def cmd_cell_calibrate(config: RunConfig, args) -> int:
     return 0
 
 
-def _dispersion_rows(cell, config: RunConfig):
-    rows = []
-    for pt in dispersion_sweep(cell, config.f_start, config.f_stop, config.n_points):
-        angle = (
-            fmt(scan_angle(pt.beta, pt.f)) if pt.region in _LEAKY else ""
-        )
-        rows.append(
-            [
-                fmt(pt.f),
-                fmt(pt.beta),
-                fmt(pt.alpha),
-                fmt(pt.k0),
-                fmt(pt.beta * cell.period / math.pi),
-                pt.region.value,
-                angle,
-            ]
-        )
-    return rows
-
-
 _DISPERSION_HEADER = [
     "f_Hz",
     "beta_rad_per_m",
@@ -189,28 +152,50 @@ _DISPERSION_HEADER = [
     "region",
     "scan_angle_deg",
 ]
+_DISPERSION_ROW = "%.8e,%.8e,%.8e,%.8e,%.8e,%s,%s\n"
+_REGION_NAMES = [r.value for r in REGIONS]
+
+
+def _dispersion_columns(sweep: DispersionSweep, period: float) -> list[list]:
+    """The columns of _DISPERSION_HEADER as lists; no scan angle off the leaky band."""
+    leaky = sweep.leaky.tolist()
+    angles = [a if on else None for a, on in zip(sweep.scan_deg.tolist(), leaky)]
+    return [
+        sweep.f.tolist(),
+        sweep.beta.tolist(),
+        sweep.alpha.tolist(),
+        sweep.k0.tolist(),
+        (sweep.beta * period / math.pi).tolist(),
+        [_REGION_NAMES[code] for code in sweep.region.tolist()],
+        angles,
+    ]
+
+
+def _dispersion_csv(sweep: DispersionSweep, period: float) -> str:
+    columns = _dispersion_columns(sweep, period)
+    columns[-1] = ["" if a is None else fmt(a) for a in columns[-1]]
+    rows = map(_DISPERSION_ROW.__mod__, zip(*columns))
+    return "".join([",".join(_DISPERSION_HEADER) + "\n", *rows])
 
 
 def cmd_dispersion(config: RunConfig, args) -> int:
-    cell = _cell_from_config(config)
-    rows = _dispersion_rows(cell, config)
+    cell = config.cell()
+    sweep = _sweep(cell, config)
     if args.format == "json":
         doc = [
-            {k: (v if k == "region" else (None if v == "" else float(v)))
-             for k, v in zip(_DISPERSION_HEADER, row)}
-            for row in rows
+            dict(zip(_DISPERSION_HEADER, row))
+            for row in zip(*_dispersion_columns(sweep, cell.period))
         ]
         _write_text(_dumps(doc), args.out, f"dispersion_{config.fingers}f.json")
     else:
         _write_text(
-            _csv_text(_DISPERSION_HEADER, rows), args.out, f"dispersion_{config.fingers}f.csv"
+            _dispersion_csv(sweep, cell.period), args.out, f"dispersion_{config.fingers}f.csv"
         )
     return 0
 
 
 def cmd_scan_angles(config: RunConfig, args) -> int:
-    cell = _cell_from_config(config)
-    profile = scan_profile(cell, config.f_start, config.f_stop, config.n_points)
+    profile = _sweep(config.cell(), config).scan_profile()
     if args.format == "json":
         doc = [{"f_Hz": f, "scan_angle_deg": theta} for f, theta in profile]
         _write_text(_dumps(doc), args.out, f"scan_angles_{config.fingers}f.json")
@@ -225,7 +210,7 @@ def cmd_scan_angles(config: RunConfig, args) -> int:
 
 
 def cmd_pattern(config: RunConfig, args) -> int:
-    cell = _cell_from_config(config)
+    cell = config.cell()
     freqs = (
         [f * _GHZ for f in args.freq]
         if args.freq
@@ -285,26 +270,24 @@ def cmd_sweep(config: RunConfig, args) -> int:
     out_dir = args.out if args.out is not None else "."
     states = {}
     for n in sorted(config.targets):
-        state_config = replace(config, fingers=n)
-        cell = _cell_from_config(state_config)
+        cell = config.cell(n)
         try:
             f0 = transition_frequency(cell, bracket=(config.f_start, config.f_stop))
         except BracketError as exc:
             print(f"error: {n}-finger state: {exc}", file=sys.stderr)
             return 1
-        rows = _dispersion_rows(cell, config)
+        sweep = _sweep(cell, config)
         csv_name = f"dispersion_{n}f.csv"
-        _write_text(_csv_text(_DISPERSION_HEADER, rows), out_dir, csv_name)
-        profile = scan_profile(cell, config.f_start, config.f_stop, config.n_points)
-        angles = [theta for _, theta in profile]
+        _write_text(_dispersion_csv(sweep, cell.period), out_dir, csv_name)
+        angles = sweep.scan_deg[sweep.leaky]
         pat = pattern_for_frequency(
             cell, f0, config.cell_geometry.n_cells, leakage_np_per_cell=args.leakage
         )
         states[str(n)] = {
             "transition_Hz": f0,
             "target_Hz": config.targets[n],
-            "scan_min_deg": min(angles) if angles else None,
-            "scan_max_deg": max(angles) if angles else None,
+            "scan_min_deg": float(angles.min()) if angles.size else None,
+            "scan_max_deg": float(angles.max()) if angles.size else None,
             "broadside_beam_deg": pat.main_beam_deg,
             "broadside_beamwidth_3db_deg": pat.beamwidth_3db_deg,
             "dispersion_csv": csv_name,

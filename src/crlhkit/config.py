@@ -17,6 +17,8 @@ import os
 from dataclasses import dataclass, replace
 from importlib import resources
 
+from .bloch import MAX_N_POINTS
+from .cell import CrlhUnitCell, cell_for_state
 from .errors import ConfigError
 from .geometry import CellGeometry, IdcGeometry, SubstrateSpec
 
@@ -94,8 +96,8 @@ class RunConfig:
             raise ConfigError(
                 f"need 0 < freq_start < freq_stop, got ({self.f_start}, {self.f_stop}) Hz"
             )
-        if self.n_points < 2:
-            raise ConfigError(f"n_points must be >= 2, got {self.n_points}")
+        if not 2 <= self.n_points <= MAX_N_POINTS:
+            raise ConfigError(f"n_points must be within 2..{MAX_N_POINTS}, got {self.n_points}")
         if self.fingers < 1:
             raise ConfigError(f"fingers must be >= 1, got {self.fingers}")
         if not set(self.targets) <= {2, 3, 4}:
@@ -118,6 +120,19 @@ class RunConfig:
         if fingers == idc.n_fingers:
             return idc
         return replace(idc, n_fingers=fingers)
+
+    def cell(self, fingers: int | None = None) -> CrlhUnitCell:
+        """Calibrated unit cell for a switch state (default: the configured one)."""
+        return cell_for_state(
+            self.fingers if fingers is None else fingers,
+            self.substrate,
+            self.cell_geometry,
+            self.targets,
+            z_c=self.z_bloch,
+            series_combination=self.series_combination,
+            sheet_resistivity=self.sheet_resistance,
+            line_z0=self.z0_line,
+        )
 
 
 def parse_config_text(text: str, source: str = "<config>") -> dict:
@@ -155,6 +170,10 @@ def parse_config_text(text: str, source: str = "<config>") -> dict:
                 values[key] = int(value)
             except ValueError:
                 raise ConfigError(f"{source}:{lineno}: {key} needs an integer, got {value!r}") from None
+            if key == "n_points" and not 2 <= values[key] <= MAX_N_POINTS:
+                raise ConfigError(
+                    f"{source}:{lineno}: n_points must be within 2..{MAX_N_POINTS}, got {value!r}"
+                )
         else:
             choices = _CHOICE_KEYS[key]
             if value not in choices:

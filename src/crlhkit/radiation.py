@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import bloch_gamma, unit_cell_abcd
+from .bloch import bloch_gamma
 from .cell import CrlhUnitCell
-from .geometry import C0, CellGeometry
+from .geometry import C0
 
 DEFAULT_THETA_STEP_DEG = 0.25
 DEFAULT_LEAKAGE_NP_PER_CELL = 0.05
@@ -117,30 +117,9 @@ def pattern_for_frequency(
     the finite leakage of a real radiating aperture. Left as None the
     Bloch alpha is used unchanged.
     """
-    beta, alpha = bloch_gamma(unit_cell_abcd(cell, f), cell.period)
+    beta, alpha = bloch_gamma(cell, f)
     if leakage_np_per_cell is not None:
         if leakage_np_per_cell < 0.0:
             raise ValueError(f"leakage must be >= 0, got {leakage_np_per_cell}")
         alpha = leakage_np_per_cell / cell.period
     return array_factor(complex(alpha, beta), cell.period, n_cells, f, theta_grid)
-
-
-def main_beam_vs_frequency(
-    cell: CrlhUnitCell,
-    geom: CellGeometry,
-    f_list,
-    leakage_np_per_cell: float | None = None,
-) -> list[tuple[float, float]]:
-    """(f, main beam angle [deg]) for each requested frequency."""
-    f_list = [float(f) for f in f_list]
-    if not f_list:
-        raise ValueError("f_list must contain at least one frequency")
-    return [
-        (
-            f,
-            pattern_for_frequency(
-                cell, f, geom.n_cells, leakage_np_per_cell=leakage_np_per_cell
-            ).main_beam_deg,
-        )
-        for f in f_list
-    ]

@@ -1,6 +1,6 @@
 import pytest
 
-from crlhkit import cell_for_state, load_profile, state_for_finger_count
+from crlhkit import load_profile
 
 
 @pytest.fixture(scope="session")
@@ -11,14 +11,4 @@ def config():
 @pytest.fixture(scope="session")
 def cells(config):
     """Calibrated unit cells for the three switch states."""
-    return {
-        n: cell_for_state(
-            state_for_finger_count(n),
-            config.substrate,
-            config.cell_geometry,
-            config.targets,
-            z_c=config.z_bloch,
-            series_combination=config.series_combination,
-        )
-        for n in sorted(config.targets)
-    }
+    return {n: config.cell(n) for n in sorted(config.targets)}

@@ -15,6 +15,7 @@ from scipy.special import ellipk
 
 from crlhkit import selfcheck
 from crlhkit.bloch import (
+    REGIONS,
     Region,
     bloch_gamma,
     dispersion_sweep,
@@ -29,7 +30,7 @@ from crlhkit.idc import c_series_gap, elliptic_ratio
 from crlhkit.radiation import pattern_for_frequency
 
 N_CELLS = 8
-LEAKY = (Region.LEFT_HANDED_LEAKY, Region.RIGHT_HANDED_LEAKY)
+EVANESCENT = REGIONS.index(Region.EVANESCENT)
 
 
 def report(ok: bool, label: str, detail: str):
@@ -39,6 +40,12 @@ def report(ok: bool, label: str, detail: str):
 
 def sweep(cell, config):
     return dispersion_sweep(cell, config.f_start, config.f_stop, config.n_points)
+
+
+def gap_samples(s):
+    """Evanescent samples between the first and last leaky one."""
+    leaky = np.flatnonzero(s.leaky)
+    return int(np.count_nonzero(s.region[leaky[0] : leaky[-1] + 1] == EVANESCENT))
 
 
 def test_criterion_1_idc_anchor():
@@ -93,23 +100,13 @@ def test_criterion_4_gapless_balanced_dispersion(config, cells):
     details = []
     ok = True
     for n, cell in cells.items():
-        pts = sweep(cell, config)
-        leaky_idx = [i for i, pt in enumerate(pts) if pt.region in LEAKY]
-        gap = sum(
-            1 for i in range(leaky_idx[0], leaky_idx[-1] + 1) if pts[i].region is Region.EVANESCENT
-        )
+        gap = gap_samples(sweep(cell, config))
         f0 = transition_frequency(cell)
-        _, alpha0 = bloch_gamma(unit_cell_abcd(cell, f0), cell.period)
+        _, alpha0 = bloch_gamma(cell, f0)
         bent = CrlhUnitCell(
             l_r=cell.l_r, c_r=1.2 * cell.c_r, l_l=cell.l_l, c_l=cell.c_l, period=cell.period
         )
-        bent_pts = sweep(bent, config)
-        bent_leaky = [i for i, pt in enumerate(bent_pts) if pt.region in LEAKY]
-        opened = sum(
-            1
-            for i in range(bent_leaky[0], bent_leaky[-1] + 1)
-            if bent_pts[i].region is Region.EVANESCENT
-        )
+        opened = gap_samples(sweep(bent, config))
         ok = ok and gap == 0 and alpha0 <= 1e-9 and opened > 0
         details.append(f"{n}f gap={gap} alpha(f0)={alpha0:.1e} detuned-gap={opened}")
     report(ok, "4. gapless balanced dispersion", "; ".join(details) + " (alpha tol 1e-9)")
@@ -120,11 +117,10 @@ def test_criterion_5_scan_angle_consistency(config, cells):
     count = 0
     ok = True
     for cell in cells.values():
-        for pt in sweep(cell, config):
-            if pt.region not in LEAKY:
-                continue
-            pat = pattern_for_frequency(cell, pt.f, N_CELLS)
-            miss = abs(pat.main_beam_deg - scan_angle(pt.beta, pt.f))
+        s = sweep(cell, config)
+        for f, beta in zip(s.f[s.leaky].tolist(), s.beta[s.leaky].tolist()):
+            pat = pattern_for_frequency(cell, f, N_CELLS)
+            miss = abs(pat.main_beam_deg - scan_angle(beta, f))
             half = pat.beamwidth_3db_deg / 2.0
             ok = ok and miss <= half
             worst = max(worst, miss / half)
@@ -170,7 +166,7 @@ def test_criterion_7_bloch_oracle_equivalence(config, cells):
     for cell in cells.values():
         for f in rng.uniform(config.f_start, config.f_stop, 20):
             m = unit_cell_abcd(cell, float(f))
-            beta, alpha = bloch_gamma(m, cell.period)
+            beta, alpha = bloch_gamma(cell, float(f))
             gp = complex(alpha, beta) * cell.period
             m8 = np.linalg.matrix_power(m.as_matrix(), 8)
             trace = complex(m8[0, 0] + m8[1, 1])
@@ -188,17 +184,11 @@ def test_criterion_8_antiparallel_velocities(config, cells):
     violations = 0
     pairs = 0
     for cell in cells.values():
-        pts = sweep(cell, config)
-        for a, b in zip(pts, pts[1:]):
-            if (
-                a.region is not Region.EVANESCENT
-                and b.region is not Region.EVANESCENT
-                and a.beta < 0.0
-                and b.beta < 0.0
-            ):
-                pairs += 1
-                if b.beta <= a.beta:
-                    violations += 1
+        s = sweep(cell, config)
+        backward = (s.region != EVANESCENT) & (s.beta < 0.0)
+        both = backward[:-1] & backward[1:]
+        pairs += int(np.count_nonzero(both))
+        violations += int(np.count_nonzero(both & (np.diff(s.beta) <= 0.0)))
     report(
         violations == 0 and pairs > 0,
         "8. antiparallel velocities",

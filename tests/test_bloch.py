@@ -8,9 +8,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
+import bloch_oracle
 from crlhkit.bloch import (
+    MAX_N_POINTS,
+    REGIONS,
     Region,
-    TwoPortAbcd,
     _brentq,
     bloch_gamma,
     classify,
@@ -21,6 +23,7 @@ from crlhkit.bloch import (
     unit_cell_abcd,
 )
 from crlhkit.cell import calibrate_balanced, resonances
+from crlhkit.cli import fmt
 from crlhkit.errors import BracketError, PoleError, SlowWaveError
 from crlhkit.geometry import CONSTANTS
 
@@ -32,7 +35,31 @@ def k0_of(f):
 
 
 def beta_function(cell):
-    return lambda f: bloch_gamma(unit_cell_abcd(cell, f), cell.period)[0]
+    return lambda f: bloch_gamma(cell, f)[0]
+
+
+def region_runs(sweep):
+    """Regions of a sweep with repeats collapsed: the order the bands come in."""
+    runs = []
+    for code in sweep.region.tolist():
+        if not runs or runs[-1] is not REGIONS[code]:
+            runs.append(REGIONS[code])
+    return runs
+
+
+def perturbed(base, scales, r_series):
+    return replace(
+        base,
+        l_r=base.l_r * scales[0],
+        c_r=base.c_r * scales[1],
+        l_l=base.l_l * scales[2],
+        c_l=base.c_l * scales[3],
+        r_series=r_series,
+    )
+
+
+CELL_SCALES = st.tuples(*[st.floats(min_value=0.8, max_value=1.25)] * 4)
+R_SERIES = st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=5.0))
 
 
 class TestAbcd:
@@ -79,20 +106,32 @@ class TestBlochGamma:
             x = 1.0 - z * y / 2.0
             assert abs(x) <= 1.0, "chosen frequencies sit in the pass band"
             expected = math.copysign(math.acos(x) / cell.period, f - f0)
-            beta, alpha = bloch_gamma(unit_cell_abcd(cell, f), cell.period)
+            beta, alpha = bloch_gamma(cell, f)
             assert beta == pytest.approx(expected, rel=1e-9)
             assert alpha == pytest.approx(0.0, abs=1e-9)
 
     def test_zero_phase_at_transition(self, cells):
         for n, f0 in ((2, 10.7e9), (3, 9.5e9), (4, 9.3e9)):
-            beta, alpha = bloch_gamma(unit_cell_abcd(cells[n], f0), cells[n].period)
+            beta, alpha = bloch_gamma(cells[n], f0)
             assert abs(beta) < 1e-6
             assert alpha <= 1e-9
 
     def test_rejects_nonpositive_period(self, cells):
-        m = unit_cell_abcd(cells[4], 9.0e9)
-        with pytest.raises(ValueError):
-            bloch_gamma(m, 0.0)
+        # the period comes from the cell, which cannot be built without one
+        with pytest.raises(ValueError, match="period"):
+            replace(cells[4], period=0.0)
+        with pytest.raises(ValueError, match="frequency must be positive"):
+            bloch_gamma(cells[4], np.array([9.0e9, 0.0]))
+
+    def test_array_matches_one_frequency_at_a_time(self, cells):
+        cell = cells[3]
+        freqs = np.linspace(7.5e9, 12.0e9, 37)
+        beta, alpha = bloch_gamma(cell, freqs)
+        assert beta.shape == alpha.shape == freqs.shape
+        singles = [bloch_gamma(cell, f) for f in freqs.tolist()]
+        assert all(isinstance(v, float) for pair in singles for v in pair)
+        assert [b for b, _ in singles] == beta.tolist()
+        assert [a for _, a in singles] == alpha.tolist()
 
     @given(
         st.floats(min_value=1e-14, max_value=1e-13),
@@ -102,33 +141,50 @@ class TestBlochGamma:
     @settings(max_examples=100)
     def test_principal_phase_bound(self, c_l, f0, f):
         cell = calibrate_balanced(c_l, f0)
-        beta, alpha = bloch_gamma(unit_cell_abcd(cell, f), cell.period)
+        beta, alpha = bloch_gamma(cell, f)
         assert abs(beta) * cell.period <= math.pi + 1e-9
         assert alpha >= 0.0
+
+
+def region_of(beta, alpha, k0, p):
+    return REGIONS[classify(beta, alpha, k0, p)]
 
 
 class TestClassify:
     def test_pinned_attenuating_samples_are_evanescent(self):
         p = 3.2e-3
         k0 = k0_of(9.3e9)
-        assert classify(0.0, 50.0, k0, p) is Region.EVANESCENT
-        assert classify(-math.pi / p, 50.0, k0, p) is Region.EVANESCENT
-        assert classify(math.pi / p, 50.0, k0, p) is Region.EVANESCENT
+        assert region_of(0.0, 50.0, k0, p) is Region.EVANESCENT
+        assert region_of(-math.pi / p, 50.0, k0, p) is Region.EVANESCENT
+        assert region_of(math.pi / p, 50.0, k0, p) is Region.EVANESCENT
 
     def test_attenuating_fast_wave_still_leaks(self):
         # dissipative loss does not pin the phase, so the wave radiates
         p = 3.2e-3
         k0 = k0_of(9.3e9)
-        assert classify(-0.4 * k0, 5.0, k0, p) is Region.LEFT_HANDED_LEAKY
+        assert region_of(-0.4 * k0, 5.0, k0, p) is Region.LEFT_HANDED_LEAKY
 
     def test_fast_and_slow_waves(self):
         p = 3.2e-3
         k0 = k0_of(9.3e9)
-        assert classify(-0.5 * k0, 0.0, k0, p) is Region.LEFT_HANDED_LEAKY
-        assert classify(0.5 * k0, 0.0, k0, p) is Region.RIGHT_HANDED_LEAKY
-        assert classify(0.0, 0.0, k0, p) is Region.RIGHT_HANDED_LEAKY
-        assert classify(2.0 * k0, 0.0, k0, p) is Region.GUIDED_SLOW_WAVE
-        assert classify(-2.0 * k0, 0.0, k0, p) is Region.GUIDED_SLOW_WAVE
+        assert region_of(-0.5 * k0, 0.0, k0, p) is Region.LEFT_HANDED_LEAKY
+        assert region_of(0.5 * k0, 0.0, k0, p) is Region.RIGHT_HANDED_LEAKY
+        assert region_of(0.0, 0.0, k0, p) is Region.RIGHT_HANDED_LEAKY
+        assert region_of(2.0 * k0, 0.0, k0, p) is Region.GUIDED_SLOW_WAVE
+        assert region_of(-2.0 * k0, 0.0, k0, p) is Region.GUIDED_SLOW_WAVE
+
+    def test_classifies_arrays_elementwise(self):
+        p = 3.2e-3
+        k0 = k0_of(9.3e9)
+        beta = np.array([0.0, -0.5 * k0, 0.5 * k0, 2.0 * k0])
+        alpha = np.array([50.0, 0.0, 0.0, 0.0])
+        codes = classify(beta, alpha, k0, p)
+        assert [REGIONS[c] for c in codes] == [
+            Region.EVANESCENT,
+            Region.LEFT_HANDED_LEAKY,
+            Region.RIGHT_HANDED_LEAKY,
+            Region.GUIDED_SLOW_WAVE,
+        ]
 
 
 class TestDispersionSweep:
@@ -143,44 +199,35 @@ class TestDispersionSweep:
             Region.EVANESCENT,
         ]
         for cell in cells.values():
-            pts = dispersion_sweep(cell, config.f_start, config.f_stop, config.n_points)
-            grouped = []
-            for pt in pts:
-                if not grouped or grouped[-1] is not pt.region:
-                    grouped.append(pt.region)
-            assert grouped == expected
+            sweep = dispersion_sweep(cell, config.f_start, config.f_stop, config.n_points)
+            assert region_runs(sweep) == expected
 
     def test_single_sign_change(self, config, cells):
         for cell in cells.values():
-            pts = dispersion_sweep(cell, config.f_start, config.f_stop, config.n_points)
-            signs = [math.copysign(1.0, pt.beta) for pt in pts if pt.beta != 0.0]
-            flips = sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-            assert flips == 1
+            sweep = dispersion_sweep(cell, config.f_start, config.f_stop, config.n_points)
+            signs = np.sign(sweep.beta[sweep.beta != 0.0])
+            assert np.count_nonzero(np.diff(signs)) == 1
 
     def test_lossless_passband_has_zero_attenuation(self, config, cells):
+        evanescent = REGIONS.index(Region.EVANESCENT)
         for cell in cells.values():
-            for pt in dispersion_sweep(cell, config.f_start, config.f_stop, config.n_points):
-                if pt.region is not Region.EVANESCENT:
-                    assert pt.alpha <= 1e-9
+            sweep = dispersion_sweep(cell, config.f_start, config.f_stop, config.n_points)
+            assert (sweep.alpha[sweep.region != evanescent] <= 1e-9).all()
 
     def test_stopband_phase_is_pinned(self, config, cells):
         cell = cells[4]
-        for pt in dispersion_sweep(cell, config.f_start, config.f_stop, config.n_points):
-            if pt.region is Region.EVANESCENT:
-                bp = abs(pt.beta) * cell.period
-                assert min(bp, abs(bp - math.pi)) < 1e-9
+        sweep = dispersion_sweep(cell, config.f_start, config.f_stop, config.n_points)
+        bp = np.abs(sweep.beta[sweep.region == REGIONS.index(Region.EVANESCENT)]) * cell.period
+        assert bp.size and (np.minimum(bp, np.abs(bp - math.pi)) < 1e-9).all()
 
     def test_backward_branch_slope(self, config, cells):
+        evanescent = REGIONS.index(Region.EVANESCENT)
         for cell in cells.values():
-            pts = dispersion_sweep(cell, config.f_start, config.f_stop, config.n_points)
-            for a, b in zip(pts, pts[1:]):
-                if (
-                    a.region is not Region.EVANESCENT
-                    and b.region is not Region.EVANESCENT
-                    and a.beta < 0.0
-                    and b.beta < 0.0
-                ):
-                    assert b.beta > a.beta
+            sweep = dispersion_sweep(cell, config.f_start, config.f_stop, config.n_points)
+            backward = (sweep.region != evanescent) & (sweep.beta < 0.0)
+            pairs = backward[:-1] & backward[1:]
+            assert pairs.any()
+            assert (np.diff(sweep.beta)[pairs] > 0.0).all()
 
     def test_unbalanced_cell_opens_a_gap(self, config, cells):
         cell = cells[4]
@@ -190,9 +237,18 @@ class TestDispersionSweep:
         )
         pair = resonances(bent)
         f_mid = (pair.omega_se + pair.omega_sh) / (4.0 * math.pi)
-        pts = dispersion_sweep(bent, config.f_start, config.f_stop, config.n_points)
-        nearest = min(pts, key=lambda pt: abs(pt.f - f_mid))
-        assert nearest.region is Region.EVANESCENT
+        sweep = dispersion_sweep(bent, config.f_start, config.f_stop, config.n_points)
+        nearest = int(np.argmin(np.abs(sweep.f - f_mid)))
+        assert REGIONS[sweep.region[nearest]] is Region.EVANESCENT
+
+    def test_columns_are_read_only_and_consistent(self, config, cells):
+        sweep = dispersion_sweep(cells[4], config.f_start, config.f_stop, config.n_points)
+        leaky = [REGIONS.index(Region.LEFT_HANDED_LEAKY), REGIONS.index(Region.RIGHT_HANDED_LEAKY)]
+        assert np.array_equal(sweep.leaky, np.isin(sweep.region, leaky))
+        assert np.array_equal(np.isnan(sweep.scan_deg), ~sweep.leaky)
+        assert np.array_equal(sweep.f, np.linspace(config.f_start, config.f_stop, config.n_points))
+        with pytest.raises(ValueError):
+            sweep.beta[0] = 0.0
 
     def test_overflowing_grid_point_is_a_pole_error(self, cells):
         # 5e305 Hz overflows the chain matrix; no sample may stand in for it
@@ -206,15 +262,44 @@ class TestDispersionSweep:
         with pytest.raises(ValueError):
             dispersion_sweep(cells[4], 8e9, 9e9, n_points=1)
 
+    def test_grid_above_the_cap_rejected(self, cells):
+        # refused before any array is allocated
+        with pytest.raises(ValueError, match=f"within 2..{MAX_N_POINTS}"):
+            dispersion_sweep(cells[4], 8e9, 9e9, n_points=MAX_N_POINTS + 1)
+
     def test_trace_identity_spot(self, cells):
         cell = cells[3]
         m = unit_cell_abcd(cell, 8.9e9)
-        beta, alpha = bloch_gamma(m, cell.period)
+        beta, alpha = bloch_gamma(cell, 8.9e9)
         gp = complex(alpha, beta) * cell.period
         m8 = np.linalg.matrix_power(m.as_matrix(), 8)
         assert complex(m8[0, 0] + m8[1, 1]) == pytest.approx(
             2.0 * cmath.cosh(8.0 * gp), rel=1e-10
         )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.sampled_from([2, 3, 4]),
+        scales=CELL_SCALES,
+        r_series=R_SERIES,
+        f_lo=st.floats(min_value=1e8, max_value=2e10),
+        span=st.floats(min_value=1e6, max_value=3e10),
+        n_points=st.integers(min_value=2, max_value=400),
+    )
+    def test_kernel_matches_scalar_oracle(self, cells, n, scales, r_series, f_lo, span, n_points):
+        cell = perturbed(cells[n], scales, r_series)
+        sweep = dispersion_sweep(cell, f_lo, f_lo + span, n_points)
+        for i, f in enumerate(sweep.f.tolist()):
+            beta, alpha, k0, region, angle = bloch_oracle.sample(cell, f)
+            assert REGIONS[sweep.region[i]] is region
+            assert bool(sweep.leaky[i]) == (angle is not None)
+            beta_i = sweep.beta[i]
+            got = [beta_i, sweep.alpha[i], sweep.k0[i], beta_i * cell.period / math.pi]
+            want = [beta, alpha, k0, beta * cell.period / math.pi]
+            if angle is not None:
+                got.append(sweep.scan_deg[i])
+                want.append(angle)
+            assert [fmt(v) for v in got] == [fmt(v) for v in want], f"sample {i} at {f!r} Hz"
 
 
 class TestTransition:
@@ -235,22 +320,14 @@ class TestTransition:
     @settings(max_examples=150, deadline=None)
     @given(
         n=st.sampled_from([2, 3, 4]),
-        scales=st.tuples(*[st.floats(min_value=0.8, max_value=1.25)] * 4),
-        r_series=st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=5.0)),
+        scales=CELL_SCALES,
+        r_series=R_SERIES,
         f_lo=st.floats(min_value=1e9, max_value=7e9),
         f_hi=st.floats(min_value=14e9, max_value=40e9),
         xtol=st.sampled_from([1e3, 1.0, 1e-3]),
     )
     def test_brent_port_is_bit_identical_to_scipy(self, cells, n, scales, r_series, f_lo, f_hi, xtol):
-        base = cells[n]
-        cell = replace(
-            base,
-            l_r=base.l_r * scales[0],
-            c_r=base.c_r * scales[1],
-            l_l=base.l_l * scales[2],
-            c_l=base.c_l * scales[3],
-            r_series=r_series,
-        )
+        cell = perturbed(cells[n], scales, r_series)
         beta_of = beta_function(cell)
         b_lo, b_hi = beta_of(f_lo), beta_of(f_hi)
         assume(b_lo != 0.0 and b_hi != 0.0 and (b_lo < 0.0) != (b_hi < 0.0))

@@ -14,7 +14,7 @@ from crlhkit.cell import (
     resonances,
 )
 from crlhkit.errors import ConfigError
-from crlhkit.geometry import SwitchState, default_cell_geometry, default_substrate
+from crlhkit.geometry import default_cell_geometry, default_substrate
 from crlhkit.idc import extract
 
 SUB = default_substrate()
@@ -31,8 +31,7 @@ EXPECTED = {
 
 
 def state_cell(n, **kw):
-    state = {2: SwitchState.ALL_OFF, 3: SwitchState.UPPER_OFF, 4: SwitchState.ALL_ON}[n]
-    return cell_for_state(state, SUB, GEOM, TARGETS, **kw)
+    return cell_for_state(n, SUB, GEOM, TARGETS, **kw)
 
 
 class TestResonances:
@@ -136,7 +135,7 @@ class TestCellForState:
 
     def test_missing_target_is_config_error(self):
         with pytest.raises(ConfigError, match="4-finger"):
-            cell_for_state(SwitchState.ALL_ON, SUB, GEOM, {2: 10.7e9})
+            cell_for_state(4, SUB, GEOM, {2: 10.7e9})
 
     def test_monotone_orderings(self):
         cells = {n: state_cell(n) for n in (2, 3, 4)}

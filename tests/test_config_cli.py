@@ -1,10 +1,13 @@
 import json
+import math
 import subprocess
 import sys
 from dataclasses import replace
 
 import pytest
 
+from crlhkit.bloch import MAX_N_POINTS
+from crlhkit.cell import resonances
 from crlhkit.cli import fmt, main
 from crlhkit.config import (
     RunConfig,
@@ -137,6 +140,32 @@ class TestConfigParsing:
         assert "freq_start must be finite" in capsys.readouterr().err
         with pytest.raises(ConfigError, match="freq_stop must be finite"):
             replace(load_profile("paper-default"), f_stop=float("inf"))
+
+    def test_n_points_cap_in_config_file_names_file_and_line(self, tmp_path, capsys):
+        path = write_cfg(tmp_path, f"fingers = 4\nn_points = {MAX_N_POINTS + 1}\n")
+        assert main(["dispersion", "--config", path]) == 1
+        captured = capsys.readouterr()
+        assert f"{path}:2: n_points must be within 2..{MAX_N_POINTS}" in captured.err
+        assert captured.out == ""
+        at_cap = write_cfg(tmp_path, f"n_points = {MAX_N_POINTS}\n")
+        assert resolve_config(at_cap).n_points == MAX_N_POINTS
+
+    def test_n_points_cap_on_command_line_names_value(self, capsys):
+        assert main(["sweep", "--points", str(MAX_N_POINTS + 1)]) == 1
+        captured = capsys.readouterr()
+        assert f"n_points must be within 2..{MAX_N_POINTS}, got {MAX_N_POINTS + 1}" in captured.err
+        assert captured.out == ""
+        with pytest.raises(ConfigError, match="n_points"):
+            replace(load_profile("paper-default"), n_points=1)
+
+    def test_run_config_builds_each_state_cell(self):
+        cfg = load_profile("paper-default")
+        assert cfg.cell() == cfg.cell(cfg.fingers)
+        for n, f0 in cfg.targets.items():
+            omega_se = resonances(cfg.cell(n)).omega_se
+            assert omega_se == pytest.approx(2.0 * math.pi * f0, rel=1e-12)
+        with pytest.raises(ConfigError, match="5-finger"):
+            cfg.cell(5)
 
     def test_idc_geometry_refingering(self):
         cfg = load_profile("paper-default")
@@ -286,6 +315,26 @@ class TestCliCommands:
         doc = json.loads(capsys.readouterr().out)
         assert len(doc) == 8
         assert all(r["passed"] for r in doc)
+
+    def test_reproduce_reports_a_check_that_cannot_run(self, capsys):
+        # 9.4 GHz starts above the 4-finger crossing: the root solves fail,
+        # and the checks that need them are reported FAIL like any other
+        assert main(["reproduce", "--freq-start", "9.4"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        lines = captured.out.splitlines()
+        assert len(lines) == 9 and lines[-1] == "5/8 checks passed"
+        failed = [line for line in lines if line.startswith("FAIL")]
+        assert [line.split(":")[0] for line in failed] == [
+            "FAIL  broadside tuning",
+            "FAIL  gapless balanced bands",
+            "FAIL  full-space scanning",
+        ]
+        assert "beta does not change sign over [9.4e+09, 1.2e+10] Hz" in failed[0]
+        assert main(["reproduce", "--freq-start", "9.4", "--json"]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert [r["passed"] for r in doc] == [True, True, False, False, True, False, True, True]
+        assert doc[2]["detail"] == failed[0].split(": ", 1)[1]
 
     def test_reproduce_detects_detuned_substrate(self, tmp_path, capsys):
         path = write_cfg(tmp_path, "epsilon_r = 1.0\n")

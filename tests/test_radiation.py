@@ -5,13 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crlhkit.bloch import bloch_gamma, scan_angle, unit_cell_abcd
-from crlhkit.radiation import (
-    array_factor,
-    default_theta_grid,
-    main_beam_vs_frequency,
-    pattern_for_frequency,
-)
+from crlhkit.bloch import bloch_gamma, dispersion_sweep
+from crlhkit.radiation import array_factor, default_theta_grid, pattern_for_frequency
 
 F0 = 9.3e9
 P = 3.2e-3
@@ -48,7 +43,7 @@ class TestArrayFactor:
 
     def test_beamwidths_narrow_with_aperture(self, cells):
         cell = cells[4]
-        beta, alpha = bloch_gamma(unit_cell_abcd(cell, F0), cell.period)
+        beta, alpha = bloch_gamma(cell, F0)
         widths = {
             n: array_factor(complex(alpha, beta), cell.period, n, F0).beamwidth_3db_deg
             for n in (4, 8, 16)
@@ -105,23 +100,28 @@ class TestPatternForFrequency:
 
 
 class TestMainBeamVsFrequency:
+    """The beam trajectory: array-factor peaks along a sweep's leaky columns."""
+
     def test_tracks_scan_angle_in_band(self, config, cells):
         cell = cells[4]
-        # inside the fast-wave band of the 4-finger state (about 9.0-9.65 GHz)
-        freqs = [9.05e9, 9.15e9, 9.3e9, 9.45e9, 9.6e9]
-        trajectory = main_beam_vs_frequency(cell, config.cell_geometry, freqs)
-        assert [f for f, _ in trajectory] == freqs
-        angles = [theta for _, theta in trajectory]
+        n_cells = config.cell_geometry.n_cells
+        # the fast-wave band of the 4-finger state (about 9.0-9.65 GHz)
+        sweep = dispersion_sweep(cell, 8.8e9, 9.9e9, 12)
+        freqs = sweep.f[sweep.leaky].tolist()
+        assert len(freqs) >= 5
+        patterns = [pattern_for_frequency(cell, f, n_cells) for f in freqs]
+        angles = [pat.main_beam_deg for pat in patterns]
         assert all(b > a for a, b in zip(angles, angles[1:]))
-        for f, theta in trajectory:
-            beta, _ = bloch_gamma(unit_cell_abcd(cell, f), cell.period)
-            pat = pattern_for_frequency(cell, f, config.cell_geometry.n_cells)
-            assert abs(theta - scan_angle(beta, f)) <= pat.beamwidth_3db_deg / 2.0
+        for pat, expected in zip(patterns, sweep.scan_deg[sweep.leaky].tolist()):
+            assert abs(pat.main_beam_deg - expected) <= pat.beamwidth_3db_deg / 2.0
 
     def test_below_transition_points_backward(self, config, cells):
-        (pair,) = main_beam_vs_frequency(cells[4], config.cell_geometry, [8.8e9])
-        assert pair[1] < 0.0
+        sweep = dispersion_sweep(cells[4], 8.8e9, 9.2e9, 5)
+        assert sweep.leaky.any() and (sweep.scan_deg[sweep.leaky] < 0.0).all()
+        pat = pattern_for_frequency(cells[4], 8.8e9, config.cell_geometry.n_cells)
+        assert pat.main_beam_deg < 0.0
 
-    def test_empty_frequency_list_rejected(self, config, cells):
-        with pytest.raises(ValueError):
-            main_beam_vs_frequency(cells[4], config.cell_geometry, [])
+    def test_empty_frequency_list_rejected(self, cells):
+        for n_points in (0, 1):
+            with pytest.raises(ValueError):
+                dispersion_sweep(cells[4], 9.0e9, 9.6e9, n_points)
