@@ -16,6 +16,8 @@ import os
 import sys
 from dataclasses import replace
 
+import numpy as np
+
 from . import __version__
 from .bloch import REGIONS, DispersionSweep, dispersion_sweep, transition_frequency
 from .cell import is_balanced, resonances
@@ -60,13 +62,20 @@ def _write_text(text: str, out_dir: str | None, filename: str) -> None:
     """To a file under out_dir when given, else stdout."""
     if not text.endswith("\n"):
         text += "\n"
+    _write_chunks([text], out_dir, filename)
+
+
+def _write_chunks(chunks, out_dir: str | None, filename: str) -> None:
+    """Text chunks, the last one ending in a newline, written one at a time
+    to a file under out_dir when given, else stdout."""
     if out_dir is None:
-        sys.stdout.write(text)
+        for chunk in chunks:
+            sys.stdout.write(chunk)
         return
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, filename)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+        fh.writelines(chunks)
     print(path)
 
 
@@ -154,19 +163,29 @@ _DISPERSION_HEADER = [
 ]
 _DISPERSION_ROW = "%.8e,%.8e,%.8e,%.8e,%.8e,%s,%s\n"
 _REGION_NAMES = [r.value for r in REGIONS]
+# One dispersion row as json.dumps(indent=2, sort_keys=True) lays out a
+# dict keyed by _DISPERSION_HEADER, fields in sorted-key order.
+_JSON_KEYS = sorted(_DISPERSION_HEADER)
+_DISPERSION_JSON_ROW = (
+    "  {\n"
+    + ",\n".join(f'    "{k}": ' + ('"%s"' if k == "region" else "%s") for k in _JSON_KEYS)
+    + "\n  }"
+)
+_JSON_CHUNK_ROWS = 8192
 
 
-def _dispersion_columns(sweep: DispersionSweep, period: float) -> list[list]:
-    """The columns of _DISPERSION_HEADER as lists; no scan angle off the leaky band."""
-    leaky = sweep.leaky.tolist()
-    angles = [a if on else None for a, on in zip(sweep.scan_deg.tolist(), leaky)]
+def _dispersion_columns(sweep: DispersionSweep, period: float, rows=slice(None)) -> list[list]:
+    """The columns of _DISPERSION_HEADER as lists, over the given rows of the
+    sweep; no scan angle off the leaky band."""
+    leaky = sweep.leaky[rows].tolist()
+    angles = [a if on else None for a, on in zip(sweep.scan_deg[rows].tolist(), leaky)]
     return [
-        sweep.f.tolist(),
-        sweep.beta.tolist(),
-        sweep.alpha.tolist(),
-        sweep.k0.tolist(),
-        (sweep.beta * period / math.pi).tolist(),
-        [_REGION_NAMES[code] for code in sweep.region.tolist()],
+        sweep.f[rows].tolist(),
+        sweep.beta[rows].tolist(),
+        sweep.alpha[rows].tolist(),
+        sweep.k0[rows].tolist(),
+        (sweep.beta[rows] * period / math.pi).tolist(),
+        [_REGION_NAMES[code] for code in sweep.region[rows].tolist()],
         angles,
     ]
 
@@ -178,15 +197,41 @@ def _dispersion_csv(sweep: DispersionSweep, period: float) -> str:
     return "".join([",".join(_DISPERSION_HEADER) + "\n", *rows])
 
 
+def _json_float(x: float) -> str:
+    """A finite float as _dumps writes it: rounded by fmt, then repr."""
+    return repr(float(fmt(x)))
+
+
+def _dispersion_json(sweep: DispersionSweep, period: float):
+    """The dispersion table as the text _dumps gives for one dict per row,
+    in chunks of _JSON_CHUNK_ROWS rows. Every column but the scan angle is
+    finite (an overflowing sample raises PoleError), and a missing angle is
+    null."""
+    order = [_DISPERSION_HEADER.index(k) for k in _JSON_KEYS]
+    yield "[\n"
+    sep = ""
+    for lo in range(0, len(sweep.f), _JSON_CHUNK_ROWS):
+        *numbers, regions, angles = _dispersion_columns(
+            sweep, period, slice(lo, lo + _JSON_CHUNK_ROWS)
+        )
+        fields = [
+            *(map(_json_float, col) for col in numbers),
+            regions,
+            ("null" if a is None else _json_float(a) for a in angles),
+        ]
+        rows = zip(*(fields[i] for i in order))
+        yield sep + ",\n".join(map(_DISPERSION_JSON_ROW.__mod__, rows))
+        sep = ",\n"
+    yield "\n]\n"
+
+
 def cmd_dispersion(config: RunConfig, args) -> int:
     cell = config.cell()
     sweep = _sweep(cell, config)
     if args.format == "json":
-        doc = [
-            dict(zip(_DISPERSION_HEADER, row))
-            for row in zip(*_dispersion_columns(sweep, cell.period))
-        ]
-        _write_text(_dumps(doc), args.out, f"dispersion_{config.fingers}f.json")
+        _write_chunks(
+            _dispersion_json(sweep, cell.period), args.out, f"dispersion_{config.fingers}f.json"
+        )
     else:
         _write_text(
             _dispersion_csv(sweep, cell.period), args.out, f"dispersion_{config.fingers}f.csv"
@@ -217,50 +262,39 @@ def cmd_pattern(config: RunConfig, args) -> int:
         else [config.targets[config.fingers]]
     )
     n_cells = config.cell_geometry.n_cells
-    summary = []
-    patterns = []
-    for f in freqs:
-        pat = pattern_for_frequency(
-            cell, f, n_cells, leakage_np_per_cell=args.leakage
+    pats = pattern_for_frequency(
+        cell, np.array(freqs), n_cells, leakage_np_per_cell=args.leakage
+    )
+    theta = pats.theta_deg.tolist()
+    summary = [
+        {"f_Hz": f, "main_beam_deg": beam, "beamwidth_3db_deg": width}
+        for f, beam, width in zip(
+            freqs, pats.main_beam_deg.tolist(), pats.beamwidth_3db_deg.tolist()
         )
-        patterns.append(pat)
-        summary.append(
-            {
-                "f_Hz": pat.f,
-                "main_beam_deg": pat.main_beam_deg,
-                "beamwidth_3db_deg": pat.beamwidth_3db_deg,
-            }
-        )
+    ]
     if args.format == "json":
         doc = {
             "n_cells": n_cells,
             "patterns": [
-                {
-                    "f_Hz": pat.f,
-                    "theta_deg": list(pat.theta_deg),
-                    "magnitude_db": list(pat.magnitude_db),
-                }
-                for pat in patterns
+                {"f_Hz": f, "theta_deg": theta, "magnitude_db": db}
+                for f, db in zip(freqs, pats.magnitude_db.tolist())
             ],
             "summary": summary,
         }
         _write_text(_dumps(doc), args.out, f"pattern_{config.fingers}f.json")
         return 0
-    for pat in patterns:
+    for f, db in zip(freqs, pats.magnitude_db.tolist()):
         if args.polar_data:
             header = ["theta_rad", "magnitude_linear"]
             rows = [
-                [fmt(math.radians(t)), fmt(10.0 ** (m / 20.0))]
-                for t, m in zip(pat.theta_deg, pat.magnitude_db)
+                [fmt(math.radians(t)), fmt(10.0 ** (m / 20.0))] for t, m in zip(theta, db)
             ]
         else:
             header = ["theta_deg", "magnitude_db"]
-            rows = [
-                [fmt(t), fmt(m)] for t, m in zip(pat.theta_deg, pat.magnitude_db)
-            ]
-        name = f"pattern_{config.fingers}f_{pat.f / _GHZ:.6g}GHz.csv"
+            rows = [[fmt(t), fmt(m)] for t, m in zip(theta, db)]
+        name = f"pattern_{config.fingers}f_{f / _GHZ:.6g}GHz.csv"
         if args.out is None:
-            sys.stdout.write(f"# f_Hz = {fmt(pat.f)}\n")
+            sys.stdout.write(f"# f_Hz = {fmt(f)}\n")
         _write_text(_csv_text(header, rows), args.out, name)
     _write_text(_dumps(summary), args.out, f"pattern_{config.fingers}f_summary.json")
     return 0

@@ -22,6 +22,10 @@ DEFAULT_LEAKAGE_NP_PER_CELL = 0.05
 
 # Relative magnitude floor so exact pattern nulls stay finite in dB.
 _NULL_FLOOR = 1e-15
+# Frequencies per block of the steering tensor. One block buffer of
+# _BLOCK x len(theta) x n_cells complex values is reused for every block,
+# so transient memory does not grow with the number of frequencies.
+_BLOCK = 4
 
 
 def default_theta_grid(step_deg: float = DEFAULT_THETA_STEP_DEG) -> np.ndarray:
@@ -34,83 +38,126 @@ def default_theta_grid(step_deg: float = DEFAULT_THETA_STEP_DEG) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RadiationPattern:
-    """Normalized pattern cut at one frequency.
+    """Normalized pattern cuts at one frequency or at an array of them.
 
-    magnitude_db peaks at exactly 0 dB; main_beam_deg is the grid argmax
-    and beamwidth_3db_deg the interpolated -3 dB width around it.
+    Each cut peaks at exactly 0 dB; main_beam_deg is the grid argmax and
+    beamwidth_3db_deg the interpolated -3 dB width around it. For one
+    frequency f, main_beam_deg and beamwidth_3db_deg are floats and
+    magnitude_db has one entry per angle; for an array of F frequencies
+    they are arrays of length F and magnitude_db is F x len(theta_deg).
     """
 
-    f: float
+    f: float | np.ndarray
     theta_deg: np.ndarray
     magnitude_db: np.ndarray
-    main_beam_deg: float
-    beamwidth_3db_deg: float
+    main_beam_deg: float | np.ndarray
+    beamwidth_3db_deg: float | np.ndarray
 
 
-def _crossing_angle(theta: np.ndarray, db: np.ndarray, i_peak: int, step: int) -> float:
-    """First -3 dB crossing walking from the peak in one direction.
+def _crossing_angles(
+    theta: np.ndarray, db: np.ndarray, i_peak: np.ndarray, step: int
+) -> np.ndarray:
+    """First -3 dB crossing of each row of db, walking from its peak in one direction.
 
-    Falls back to the grid edge when the pattern never drops that far.
+    The crossing lies between the first sample past the peak that is not
+    above -3 dB and its neighbour toward the peak, linearly interpolated.
+    A row that never drops that far falls back to the grid edge.
     """
-    j = i_peak
-    while 0 <= j + step < len(db) and db[j + step] > -3.0:
-        j += step
-    if not 0 <= j + step < len(db):
-        return float(theta[-1 if step > 0 else 0])
-    j2 = j + step
-    frac = (-3.0 - db[j]) / (db[j2] - db[j])
-    return float(theta[j] + frac * (theta[j2] - theta[j]))
+    idx = np.arange(db.shape[1])
+    ahead = idx > i_peak[:, None] if step > 0 else idx < i_peak[:, None]
+    past = ~(db > -3.0) & ahead
+    if step > 0:
+        j2 = past.argmax(axis=1)
+    else:
+        j2 = db.shape[1] - 1 - past[:, ::-1].argmax(axis=1)
+    angle = np.full(len(db), theta[-1 if step > 0 else 0])
+    rows = np.flatnonzero(past[np.arange(len(db)), j2])
+    j2 = j2[rows]
+    j = j2 - step
+    frac = (-3.0 - db[rows, j]) / (db[rows, j2] - db[rows, j])
+    angle[rows] = theta[j] + frac * (theta[j2] - theta[j])
+    return angle
 
 
 def array_factor(
-    gamma: complex,
+    gamma: complex | np.ndarray,
     p: float,
     n_cells: int,
-    f: float,
+    f: float | np.ndarray,
     theta_grid: np.ndarray | None = None,
 ) -> RadiationPattern:
     """Pattern of n_cells isotropic radiators fed by a traveling wave.
 
     AF(theta) = sum over n of exp(-n gamma p) exp(j n k0 p sin theta),
-    normalized so the grid peak sits at 0 dB exactly.
+    normalized so the grid peak sits at 0 dB exactly. gamma and f are one
+    value each (floats come back) or 1-D arrays of one length, one
+    pattern per frequency (arrays come back).
     """
+    freqs = np.asarray(f, dtype=float)
+    gammas = np.asarray(gamma, dtype=complex)
+    if freqs.ndim > 1 or gammas.shape != freqs.shape:
+        raise ValueError(
+            f"gamma and f must be scalars or 1-D arrays of one length, got shapes "
+            f"{gammas.shape} and {freqs.shape}"
+        )
     if n_cells < 1:
         raise ValueError(f"n_cells must be >= 1, got {n_cells}")
-    if f <= 0.0:
-        raise ValueError(f"frequency must be positive, got {f}")
+    if (freqs <= 0.0).any():
+        raise ValueError(f"frequency must be positive, got {freqs[freqs <= 0.0].flat[0]}")
     if p <= 0.0:
         raise ValueError(f"period must be positive, got {p}")
     theta = default_theta_grid() if theta_grid is None else np.asarray(theta_grid, dtype=float)
     if theta.ndim != 1 or len(theta) < 2 or not np.all(np.diff(theta) > 0.0):
         raise ValueError("theta grid must be a strictly increasing 1-D array")
 
-    k0 = 2.0 * math.pi * f / C0
+    k0 = 2.0 * math.pi * freqs.reshape(-1) / C0
     n = np.arange(n_cells)
-    excitation = np.exp(-n * complex(gamma) * p)
-    steering = np.exp(np.outer(1j * k0 * p * np.sin(np.radians(theta)), n))
-    magnitude = np.abs(steering @ excitation)
-    peak = magnitude.max()
-    db = 20.0 * np.log10(np.maximum(magnitude, peak * _NULL_FLOOR) / peak)
-    db = db - db.max()
-    i_peak = int(np.argmax(db))
-    width = _crossing_angle(theta, db, i_peak, +1) - _crossing_angle(theta, db, i_peak, -1)
+    excitation = np.exp(-n * gammas.reshape(-1, 1) * p)
+    phase = 1j * k0 * p
+    sin_theta = np.sin(np.radians(theta))
+    # the F x theta x n_cells steering tensor, _BLOCK frequencies at a time
+    block_rows = min(_BLOCK, len(k0))
+    steering = np.empty((block_rows, len(theta), n_cells), dtype=complex)
+    field = np.empty((block_rows, len(theta), 1), dtype=complex)
+    db = np.empty((len(k0), len(theta)))
+    for lo in range(0, len(k0), _BLOCK):
+        hi = min(lo + _BLOCK, len(k0))
+        block = steering[: hi - lo]
+        np.multiply((phase[lo:hi, None] * sin_theta)[..., None], n, out=block)
+        np.exp(block, out=block)
+        np.matmul(block, excitation[lo:hi, :, None], out=field[: hi - lo])
+        np.abs(field[: hi - lo, :, 0], out=db[lo:hi])
+    # magnitude to dB in place: 20 log10(max(|AF|, floor) / peak)
+    peak = db.max(axis=1, keepdims=True)
+    np.maximum(db, peak * _NULL_FLOOR, out=db)
+    db /= peak
+    np.log10(db, out=db)
+    db *= 20.0
+    db -= db.max(axis=1, keepdims=True)
+    i_peak = np.argmax(db, axis=1)
+    width = _crossing_angles(theta, db, i_peak, +1) - _crossing_angles(theta, db, i_peak, -1)
+    main = theta[i_peak]
+    if freqs.ndim == 0:
+        return RadiationPattern(
+            f=float(freqs),
+            theta_deg=theta,
+            magnitude_db=db[0],
+            main_beam_deg=float(main[0]),
+            beamwidth_3db_deg=float(width[0]),
+        )
     return RadiationPattern(
-        f=f,
-        theta_deg=theta,
-        magnitude_db=db,
-        main_beam_deg=float(theta[i_peak]),
-        beamwidth_3db_deg=width,
+        f=freqs, theta_deg=theta, magnitude_db=db, main_beam_deg=main, beamwidth_3db_deg=width
     )
 
 
 def pattern_for_frequency(
     cell: CrlhUnitCell,
-    f: float,
+    f: float | np.ndarray,
     n_cells: int,
     theta_grid: np.ndarray | None = None,
     leakage_np_per_cell: float | None = None,
 ) -> RadiationPattern:
-    """Pattern from the Bloch solution of `cell` at frequency f.
+    """Pattern from the Bloch solution of `cell` at f, one frequency or a 1-D array.
 
     leakage_np_per_cell, when given, replaces the per-cell attenuation:
     the ideal lossless circuit yields alpha = 0 in-band and so cannot show
@@ -122,4 +169,7 @@ def pattern_for_frequency(
         if leakage_np_per_cell < 0.0:
             raise ValueError(f"leakage must be >= 0, got {leakage_np_per_cell}")
         alpha = leakage_np_per_cell / cell.period
-    return array_factor(complex(alpha, beta), cell.period, n_cells, f, theta_grid)
+    gamma = np.empty(np.shape(beta), dtype=complex)
+    gamma.real = alpha
+    gamma.imag = beta
+    return array_factor(gamma, cell.period, n_cells, f, theta_grid)

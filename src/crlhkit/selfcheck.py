@@ -21,10 +21,10 @@ from .bloch import (
     REGIONS,
     DispersionSweep,
     Region,
+    _chain,
     bloch_gamma,
     dispersion_sweep,
     transition_frequency,
-    unit_cell_abcd,
 )
 from .cell import CrlhUnitCell
 from .config import RunConfig
@@ -42,11 +42,16 @@ TRACE_RTOL = 1e-8
 SCAN_LIMIT_DEG = 45.0
 TRACE_SEED = 0x5EED
 N_TRACE_FREQS = 20
+# Leaky samples per pattern call. It bounds the slice x 721-angle arrays
+# that one call holds, whatever the grid size; 64 covers a typical state in
+# one or two calls and keeps each of those arrays under 0.4 MB.
+BEAM_SLICE = 64
 
 _EVANESCENT = REGIONS.index(Region.EVANESCENT)
 
 Cells = dict[int, CrlhUnitCell]
 Sweeps = dict[int, DispersionSweep]
+Transitions = dict[int, float]  # finger count -> beta zero crossing [Hz]
 
 
 @dataclass(frozen=True)
@@ -99,12 +104,11 @@ def check_elliptic_ratio() -> tuple[bool, str]:
     )
 
 
-def check_broadside_tuning(config: RunConfig, cells: Cells) -> tuple[bool, str]:
+def check_broadside_tuning(config: RunConfig, f0s: Transitions) -> tuple[bool, str]:
     """Each state's beta zero sits on its configured frequency."""
     parts = []
     ok = True
-    for n, cell in cells.items():
-        f0 = transition_frequency(cell, bracket=(config.f_start, config.f_stop))
+    for n, f0 in f0s.items():
         target = config.targets[n]
         err = abs(f0 - target) / target
         ok = ok and err <= TUNING_RTOL
@@ -112,14 +116,15 @@ def check_broadside_tuning(config: RunConfig, cells: Cells) -> tuple[bool, str]:
     return ok, "; ".join(parts) + f" (allow {TUNING_RTOL:.1%})"
 
 
-def check_closed_stopband(config: RunConfig, cells: Cells, sweeps: Sweeps) -> tuple[bool, str]:
+def check_closed_stopband(
+    config: RunConfig, cells: Cells, sweeps: Sweeps, f0s: Transitions
+) -> tuple[bool, str]:
     """Balanced cells have no gap at the crossing; detuning opens one."""
     parts = []
     ok = True
     for n, cell in cells.items():
         gap = _gap_samples(sweeps[n])
-        f0 = transition_frequency(cell, bracket=(config.f_start, config.f_stop))
-        _, alpha0 = bloch_gamma(cell, f0)
+        _, alpha0 = bloch_gamma(cell, f0s[n])
         # same sweep with the shunt branch detuned 20 percent
         opened = max(_gap_samples(_sweep(config, replace(cell, c_r=1.2 * cell.c_r))), 0)
         state_ok = gap == 0 and alpha0 <= BROADSIDE_ALPHA_MAX and opened > 0
@@ -138,13 +143,16 @@ def check_beam_consistency(config: RunConfig, cells: Cells, sweeps: Sweeps) -> t
     count = 0
     ok = True
     for n, cell in cells.items():
-        for f, expected in sweeps[n].scan_profile():
-            pat = pattern_for_frequency(cell, f, n_cells)
-            miss = abs(pat.main_beam_deg - expected)
+        sweep = sweeps[n]
+        freqs = sweep.f[sweep.leaky]
+        expected = sweep.scan_deg[sweep.leaky]
+        for lo in range(0, len(freqs), BEAM_SLICE):
+            pat = pattern_for_frequency(cell, freqs[lo : lo + BEAM_SLICE], n_cells)
+            miss = np.abs(pat.main_beam_deg - expected[lo : lo + BEAM_SLICE])
             half = pat.beamwidth_3db_deg / 2.0
-            ok = ok and miss <= half
-            worst = max(worst, miss / half)
-            count += 1
+            ok = ok and bool((miss <= half).all())
+            worst = max(worst, float((miss / half).max()))
+        count += len(freqs)
     return (
         ok and count > 0,
         f"{count} leaky samples, {n_cells} cells, worst miss {worst:.3f} "
@@ -190,10 +198,13 @@ def check_trace_identity(config: RunConfig, cells: Cells) -> tuple[bool, str]:
     for cell in cells.values():
         freqs = rng.uniform(config.f_start, config.f_stop, N_TRACE_FREQS)
         betas, alphas = bloch_gamma(cell, freqs)
-        for f, beta, alpha in zip(freqs.tolist(), betas.tolist(), alphas.tolist()):
+        with np.errstate(all="ignore"):
+            a, b, c = _chain(cell, freqs)
+        m = np.stack([a, b, c, a], axis=-1).reshape(-1, 2, 2)
+        m8 = np.linalg.matrix_power(m, 8)
+        traces = (m8[:, 0, 0] + m8[:, 1, 1]).tolist()
+        for trace, beta, alpha in zip(traces, betas.tolist(), alphas.tolist()):
             gp = complex(alpha, beta) * cell.period
-            m8 = np.linalg.matrix_power(unit_cell_abcd(cell, f).as_matrix(), 8)
-            trace = complex(m8[0, 0] + m8[1, 1])
             expected = 2.0 * cmath.cosh(8.0 * gp)
             rel = abs(trace - expected) / max(1.0, abs(expected))
             worst = max(worst, rel)
@@ -233,17 +244,27 @@ def _run(name: str, check, *args) -> CheckResult:
 
 
 def run_all(config: RunConfig) -> list[CheckResult]:
-    """Every check, in report order; one that cannot run is reported failed."""
+    """Every check, in report order; one that cannot run is reported failed.
+
+    Each state is swept once and its beta zero solved once; the checks
+    share those solutions.
+    """
     try:
         cells = {n: config.cell(n) for n in sorted(config.targets)}
         sweeps = {n: _sweep(config, cell) for n, cell in cells.items()}
     except CrlhError as exc:
-        cells = sweeps = exc
+        cells = sweeps = f0s = exc
+    else:
+        try:
+            bracket = (config.f_start, config.f_stop)
+            f0s = {n: transition_frequency(cell, bracket=bracket) for n, cell in cells.items()}
+        except CrlhError as exc:
+            f0s = exc
     return [
         _run("series-capacitance anchor", check_capacitance_anchor, config),
         _run("elliptic-ratio fidelity", check_elliptic_ratio),
-        _run("broadside tuning", check_broadside_tuning, config, cells),
-        _run("gapless balanced bands", check_closed_stopband, config, cells, sweeps),
+        _run("broadside tuning", check_broadside_tuning, config, f0s),
+        _run("gapless balanced bands", check_closed_stopband, config, cells, sweeps, f0s),
         _run("beam consistency", check_beam_consistency, config, cells, sweeps),
         _run("full-space scanning", check_scan_coverage, config, sweeps),
         _run("cascade trace identity", check_trace_identity, config, cells),

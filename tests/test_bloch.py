@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 import bloch_oracle
+from perturb import CELL_SCALES, R_SERIES, perturbed
 from crlhkit.bloch import (
     MAX_N_POINTS,
     REGIONS,
@@ -45,21 +46,6 @@ def region_runs(sweep):
         if not runs or runs[-1] is not REGIONS[code]:
             runs.append(REGIONS[code])
     return runs
-
-
-def perturbed(base, scales, r_series):
-    return replace(
-        base,
-        l_r=base.l_r * scales[0],
-        c_r=base.c_r * scales[1],
-        l_l=base.l_l * scales[2],
-        c_l=base.c_l * scales[3],
-        r_series=r_series,
-    )
-
-
-CELL_SCALES = st.tuples(*[st.floats(min_value=0.8, max_value=1.25)] * 4)
-R_SERIES = st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=5.0))
 
 
 class TestAbcd:

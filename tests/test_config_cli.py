@@ -4,12 +4,17 @@ import subprocess
 import sys
 from dataclasses import replace
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from crlhkit.bloch import MAX_N_POINTS
+from crlhkit import selfcheck
+from crlhkit.bloch import MAX_N_POINTS, REGIONS, dispersion_sweep
 from crlhkit.cell import resonances
-from crlhkit.cli import fmt, main
+from crlhkit.cli import _jsonify, fmt, main
 from crlhkit.config import (
+    KNOWN_KEYS,
     RunConfig,
     load_profile,
     parse_config_text,
@@ -67,6 +72,34 @@ class TestConfigParsing:
     def test_choice_key_rejected(self):
         with pytest.raises(ConfigError, match="series_combination"):
             parse_config_text("series_combination = quarter\n")
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.one_of(
+            st.text(),
+            st.lists(
+                st.tuples(
+                    st.one_of(st.sampled_from(sorted(KNOWN_KEYS)), st.text(max_size=8)),
+                    st.sampled_from([" = ", "=", " ", "==", ""]),
+                    st.one_of(
+                        st.text(max_size=12),
+                        st.floats().map(repr),
+                        st.integers().map(str),
+                        st.sampled_from(["none", "None", "half", "full", "1e999", "-0", "0x10"]),
+                    ),
+                    st.sampled_from(["", " # note", "#", "\r"]),
+                ).map("".join),
+                max_size=8,
+            ).map("\n".join),
+        )
+    )
+    def test_parse_raises_only_config_error(self, text):
+        try:
+            values = parse_config_text(text, source="fuzz.cfg")
+        except ConfigError as exc:
+            assert str(exc).startswith("fuzz.cfg:")
+        else:
+            assert set(values) <= KNOWN_KEYS
 
     def test_comments_and_blanks_ignored(self):
         values = parse_config_text("# header\n\nfingers = 3  # trailing\n")
@@ -240,6 +273,30 @@ class TestCliCommands:
         assert len(doc) == 21
         assert {"f_Hz", "region", "scan_angle_deg"} <= set(doc[0])
 
+    @pytest.mark.parametrize("n_points", [451, 15001])
+    def test_dispersion_json_matches_the_dict_encoder(self, capsys, n_points):
+        config = load_profile("paper-default")
+        for n in (2, 3, 4):
+            argv = ["dispersion", "--format", "json", "--fingers", str(n)]
+            assert main([*argv, "--points", str(n_points)]) == 0
+            cell = config.cell(n)
+            s = dispersion_sweep(cell, config.f_start, config.f_stop, n_points)
+            columns = (s.f, s.beta, s.alpha, s.k0, s.region, s.leaky, s.scan_deg)
+            rows = [
+                {
+                    "f_Hz": f,
+                    "beta_rad_per_m": beta,
+                    "alpha_Np_per_m": alpha,
+                    "k0_rad_per_m": k0,
+                    "beta_p_over_pi": beta * cell.period / math.pi,
+                    "region": REGIONS[code].value,
+                    "scan_angle_deg": angle if leaky else None,
+                }
+                for f, beta, alpha, k0, code, leaky, angle in zip(*(c.tolist() for c in columns))
+            ]
+            expected = json.dumps(_jsonify(rows), indent=2, sort_keys=True) + "\n"
+            assert capsys.readouterr().out == expected
+
     def test_scan_angles(self, capsys):
         assert main(["scan-angles", "--fingers", "2"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
@@ -335,6 +392,34 @@ class TestCliCommands:
         doc = json.loads(capsys.readouterr().out)
         assert [r["passed"] for r in doc] == [True, True, False, False, True, False, True, True]
         assert doc[2]["detail"] == failed[0].split(": ", 1)[1]
+
+    def test_reproduce_solves_each_state_once(self, monkeypatch, capsys):
+        calls = {"transition": [], "pattern": []}
+
+        def counted(name, fn):
+            def wrapper(cell, *args, **kwargs):
+                calls[name].append(args)
+                return fn(cell, *args, **kwargs)
+
+            return wrapper
+
+        wrapped = {"transition": "transition_frequency", "pattern": "pattern_for_frequency"}
+        for name, attr in wrapped.items():
+            monkeypatch.setattr(selfcheck, attr, counted(name, getattr(selfcheck, attr)))
+        assert main(["reproduce"]) == 0
+        assert "8/8 checks passed" in capsys.readouterr().out
+        assert len(calls["transition"]) == 3
+        # batched pattern calls over each state's leaky samples, a slice at a time
+        config = load_profile("paper-default")
+        leaky = []
+        for n in (2, 3, 4):
+            s = dispersion_sweep(config.cell(n), config.f_start, config.f_stop, config.n_points)
+            leaky.append(s.f[s.leaky])
+        slices = [-(-len(f) // selfcheck.BEAM_SLICE) for f in leaky]
+        assert len(calls["pattern"]) == sum(slices) < 6
+        freqs = [f for f, _ in calls["pattern"]]
+        assert all(len(f) <= selfcheck.BEAM_SLICE for f in freqs)
+        assert np.array_equal(np.concatenate(freqs), np.concatenate(leaky))
 
     def test_reproduce_detects_detuned_substrate(self, tmp_path, capsys):
         path = write_cfg(tmp_path, "epsilon_r = 1.0\n")

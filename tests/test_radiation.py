@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import radiation_oracle
 from crlhkit.bloch import bloch_gamma, dispersion_sweep
 from crlhkit.radiation import array_factor, default_theta_grid, pattern_for_frequency
+from perturb import CELL_SCALES, R_SERIES, perturbed
 
 F0 = 9.3e9
 P = 3.2e-3
@@ -74,6 +76,10 @@ class TestArrayFactor:
             array_factor(0.0j, 0.0, 8, F0)
         with pytest.raises(ValueError):
             array_factor(0.0j, P, 8, F0, theta_grid=np.array([1.0, 0.0]))
+        with pytest.raises(ValueError):
+            array_factor(np.zeros(2, dtype=complex), P, 8, np.array([F0, -1.0]))
+        with pytest.raises(ValueError):
+            array_factor(np.zeros(2, dtype=complex), P, 8, np.array([F0, F0, F0]))
 
     @given(st.floats(min_value=-0.9, max_value=0.9), st.integers(min_value=2, max_value=12))
     @settings(max_examples=50)
@@ -82,6 +88,78 @@ class TestArrayFactor:
         pat = array_factor(complex(0.0, frac * k0), P, n_cells, F0)
         expected = math.degrees(math.asin(frac))
         assert abs(pat.main_beam_deg - expected) <= pat.beamwidth_3db_deg / 2.0
+
+
+def assert_rows_match_one_at_a_time(pats, gammas, p, n_cells):
+    """Each row of a batched pattern equals the one-frequency call and the
+    scalar oracle, bit for bit."""
+    assert pats.magnitude_db.shape == (len(pats.f), len(pats.theta_deg))
+    for i, (gamma, f) in enumerate(zip(gammas, pats.f.tolist())):
+        one = array_factor(gamma, p, n_cells, f, pats.theta_deg)
+        db, beam, width = radiation_oracle.array_factor(gamma, p, n_cells, f, pats.theta_deg)
+        assert pats.main_beam_deg[i] == one.main_beam_deg == beam
+        assert pats.beamwidth_3db_deg[i] == one.beamwidth_3db_deg == width
+        assert np.array_equal(pats.magnitude_db[i], one.magnitude_db)
+        assert np.array_equal(one.magnitude_db, db)
+
+
+class TestBatchedArrayFactor:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.sampled_from([2, 3, 4]),
+        scales=CELL_SCALES,
+        r_series=R_SERIES,
+        freqs=st.lists(st.floats(min_value=6e9, max_value=13e9), min_size=1, max_size=11),
+        n_cells=st.integers(min_value=1, max_value=16),
+        leakage=st.one_of(st.none(), st.floats(min_value=0.0, max_value=0.3)),
+        grid=st.one_of(
+            st.none(),
+            st.lists(
+                st.floats(min_value=-90.0, max_value=90.0), min_size=2, max_size=200, unique=True
+            ).map(sorted),
+        ),
+    )
+    def test_array_call_matches_one_frequency_at_a_time(
+        self, cells, n, scales, r_series, freqs, n_cells, leakage, grid
+    ):
+        cell = perturbed(cells[n], scales, r_series)
+        theta = None if grid is None else np.array(grid)
+        pats = pattern_for_frequency(cell, np.array(freqs), n_cells, theta, leakage)
+        gammas = []
+        for f in freqs:
+            beta, alpha = bloch_gamma(cell, f)
+            if leakage is not None:
+                alpha = leakage / cell.period
+            gammas.append(complex(alpha, beta))
+            one = pattern_for_frequency(cell, f, n_cells, theta, leakage)
+            assert isinstance(one.main_beam_deg, float) and one.magnitude_db.ndim == 1
+        assert_rows_match_one_at_a_time(pats, gammas, cell.period, n_cells)
+
+    def test_flat_single_cell_rows_fall_back_to_the_grid_edges(self):
+        freqs = np.array([8e9, F0, 11e9])
+        gammas = np.array([0.3j, 1.0 + 0.0j, -0.5j])
+        pats = array_factor(gammas, P, 1, freqs)
+        assert (pats.magnitude_db == 0.0).all()
+        assert (pats.beamwidth_3db_deg == 180.0).all()
+        assert_rows_match_one_at_a_time(pats, gammas, P, 1)
+
+    def test_peaks_on_the_first_and_last_grid_angle(self):
+        k0 = 2.0 * math.pi * F0 / 299792458.0
+        gammas = np.array([complex(0.0, -k0), complex(0.0, k0), 0j, complex(5.0, 0.2 * k0)])
+        pats = array_factor(gammas, P, 8, np.full(4, F0))
+        assert pats.main_beam_deg[:3].tolist() == [-90.0, 90.0, 0.0]
+        assert_rows_match_one_at_a_time(pats, gammas, P, 8)
+        # a grid that stops short of the beam puts the peak on its edge
+        grid = np.linspace(10.0, 60.0, 41)
+        pats = array_factor(gammas, P, 8, np.full(4, F0), grid)
+        assert pats.main_beam_deg[1:3].tolist() == [60.0, 10.0]
+        assert_rows_match_one_at_a_time(pats, gammas, P, 8)
+
+    def test_more_frequencies_than_one_block(self, cells):
+        freqs = np.linspace(8.8e9, 9.9e9, 23)
+        pats = pattern_for_frequency(cells[4], freqs, 8, leakage_np_per_cell=0.05)
+        gammas = [complex(0.05 / P, bloch_gamma(cells[4], f)[0]) for f in freqs.tolist()]
+        assert_rows_match_one_at_a_time(pats, gammas, cells[4].period, 8)
 
 
 class TestPatternForFrequency:

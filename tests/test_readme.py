@@ -19,3 +19,4 @@ def test_library_example_runs():
     assert isinstance(sweep, DispersionSweep) and len(sweep.f) == 451
     assert namespace["angles"].min() < -45.0 < 45.0 < namespace["angles"].max()
     assert abs(namespace["beam"]) <= 1.0
+    assert namespace["beams"].shape == namespace["band"].shape
