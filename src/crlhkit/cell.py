@@ -38,10 +38,10 @@ class CrlhUnitCell:
 
     def __post_init__(self):
         for name in ("l_r", "c_r", "l_l", "c_l", "period"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        if self.r_series < 0.0:
-            raise ValueError(f"r_series must be >= 0, got {self.r_series}")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
+        if not 0.0 <= self.r_series < math.inf:
+            raise ValueError(f"r_series must be >= 0 and finite, got {self.r_series}")
 
 
 @dataclass(frozen=True)
@@ -92,10 +92,17 @@ def calibrate_balanced(
     if c_l <= 0.0 or f_broadside <= 0.0 or z_c <= 0.0 or period <= 0.0:
         raise ValueError("calibration inputs must all be positive")
     w0 = 2.0 * math.pi * f_broadside
-    l_r = 1.0 / (w0 * w0 * c_l)
+    try:
+        l_r = 1.0 / (w0 * w0 * c_l)
+        c_r = l_r / (z_c * z_c)
+    except ZeroDivisionError:
+        raise ValueError(
+            f"calibration underflows (C_L = {c_l} F, f = {f_broadside} Hz, z_c = {z_c} ohm)"
+        ) from None
+    # CrlhUnitCell rejects an element that over- or underflowed
     return CrlhUnitCell(
         l_r=l_r,
-        c_r=l_r / (z_c * z_c),
+        c_r=c_r,
         l_l=z_c * z_c * c_l,
         c_l=c_l,
         period=period,
@@ -144,7 +151,10 @@ def cell_for_state(
         raise ConfigError(
             f"series_combination must be 'half' or 'full', got {series_combination!r}"
         )
-    cell = calibrate_balanced(c_l, f0, z_c=z_c, period=geom.period)
+    try:
+        cell = calibrate_balanced(c_l, f0, z_c=z_c, period=geom.period)
+    except ValueError as exc:
+        raise ValueError(f"cannot calibrate the {n}-finger state: {exc}") from None
     if include_parasitics:
         cell = replace(
             cell,

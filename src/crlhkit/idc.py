@@ -62,6 +62,9 @@ def elliptic_ratio(k: float) -> float:
     if k >= _K_BRANCH_SPLIT:
         return math.log(2.0 * (1.0 + math.sqrt(k)) / (1.0 - math.sqrt(k))) / math.pi
     k_prime = math.sqrt(1.0 - k * k)
+    if k_prime == 1.0:
+        # below k ~ 1e-8 the lower branch would divide by 1 - sqrt(k') = 0
+        raise ValueError(f"modulus k = {k} is too small for K/K' in double precision")
     return math.pi / math.log(2.0 * (1.0 + math.sqrt(k_prime)) / (1.0 - math.sqrt(k_prime)))
 
 

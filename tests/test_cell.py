@@ -105,6 +105,21 @@ class TestCalibrateBalanced:
         with pytest.raises(ValueError):
             calibrate_balanced(4.33e-14, -1.0)
 
+    @pytest.mark.parametrize(
+        "c_l, f0, z_c, element",
+        [
+            (4.33e-14, 1e-291, 50.0, "underflows"),  # w0^2 C_L is 0
+            (4.33e-14, 9.3e9, 1e-170, "underflows"),  # z_c^2 is 0
+            (4.33e-14, 1e-150, 50.0, "l_r"),  # 1 / (w0^2 C_L) overflows
+            (4.33e-14, 9.3e9, 1e-160, "c_r"),  # L_R / z_c^2 overflows
+            (4.33e-14, 9.3e9, 1e155, "c_r"),  # z_c^2 overflows, C_R is 0
+            (1e300, 1e-5, 1e5, "l_l"),  # z_c^2 C_L overflows
+        ],
+    )
+    def test_rejects_elements_out_of_range(self, c_l, f0, z_c, element):
+        with pytest.raises(ValueError, match=element):
+            calibrate_balanced(c_l, f0, z_c=z_c)
+
 
 class TestCellForState:
     @pytest.mark.parametrize("n", [2, 3, 4])

@@ -14,13 +14,15 @@ from crlhkit.bloch import MAX_N_POINTS, REGIONS, dispersion_sweep
 from crlhkit.cell import resonances
 from crlhkit.cli import _jsonify, fmt, main
 from crlhkit.config import (
+    _FLOAT_KEYS,
+    _INT_KEYS,
     KNOWN_KEYS,
     RunConfig,
     load_profile,
     parse_config_text,
     resolve_config,
 )
-from crlhkit.errors import ConfigError
+from crlhkit.errors import ConfigError, CrlhError
 
 
 @pytest.fixture(autouse=True)
@@ -100,6 +102,30 @@ class TestConfigParsing:
             assert str(exc).startswith("fuzz.cfg:")
         else:
             assert set(values) <= KNOWN_KEYS
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.dictionaries(
+            st.sampled_from(sorted(_FLOAT_KEYS)),
+            st.one_of(
+                st.floats(allow_nan=False, allow_infinity=False),
+                st.sampled_from([5e-324, 1e-300, 1e-20, 6.09e16, 1e300, -1e-300]),
+            ),
+            max_size=6,
+        ),
+        st.dictionaries(st.sampled_from(sorted(_INT_KEYS)), st.integers(-10, 10**7), max_size=3),
+    )
+    def test_overlay_raises_only_what_main_reports(self, tmp_path_factory, floats, ints):
+        # main turns CrlhError and ValueError into an `error:` line; any
+        # other exception would end the run in a traceback
+        path = tmp_path_factory.mktemp("overlay") / "fuzz.cfg"
+        path.write_text("".join(f"{k} = {v!r}\n" for k, v in {**floats, **ints}.items()))
+        try:
+            config = resolve_config(str(path))
+            for n in sorted(config.targets):
+                config.cell(n)
+        except (CrlhError, ValueError):
+            pass
 
     def test_comments_and_blanks_ignored(self):
         values = parse_config_text("# header\n\nfingers = 3  # trailing\n")
@@ -355,6 +381,19 @@ class TestCliCommands:
         assert main(["sweep", "--out", str(b)]) == 0
         for path in sorted(a.iterdir()):
             assert path.read_bytes() == (b / path.name).read_bytes()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["reproduce"], ["cell", "calibrate", "--fingers", "3"], ["sweep", "--out", "{out}"]],
+    )
+    def test_tiny_target_is_an_error_naming_the_state(self, tmp_path, capsys, argv):
+        # 2 pi f0 squared times C_L underflows to 0 for this target
+        path = write_cfg(tmp_path, "target_3_ghz = 1e-300\n")
+        argv = [a.format(out=tmp_path / "out") for a in argv]
+        assert main([*argv, "--config", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: cannot calibrate the 3-finger state: ")
+        assert captured.err.count("\n") == 1
 
     def test_sweep_bracket_failure_names_state(self, tmp_path, capsys):
         path = write_cfg(tmp_path, "freq_start_ghz = 9.4\n")
