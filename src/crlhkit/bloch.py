@@ -29,9 +29,13 @@ DEFAULT_F_START = 7.5e9
 DEFAULT_F_STOP = 12.0e9
 DEFAULT_N_POINTS = 451
 # Largest sweep grid, 66x the 15001-point grid of a dense sweep. A sweep
-# holds about a dozen float64 and complex128 arrays of this length at once,
-# so the cap bounds its memory by the input rather than by the machine.
+# returns seven columns of this length, so the cap bounds its memory by the
+# input rather than by the machine.
 MAX_N_POINTS = 1_000_000
+# Frequencies per pass of the kernel in dispersion_sweep. Its complex
+# temporaries grow with the block, not the grid, so a sweep peaks at about
+# twice its result columns; a dense 15001-point sweep stays one block.
+_SWEEP_BLOCK = 65536
 
 # Attenuation floor separating numerical residue from a real stop band.
 _EVANESCENT_ALPHA_NP_PER_M = 1e-6
@@ -230,7 +234,8 @@ def dispersion_sweep(
 ) -> DispersionSweep:
     """Classified dispersion samples on a uniform frequency grid, as columns.
 
-    Raises ValueError for an empty or reversed band or for n_points outside
+    The kernel runs over blocks of _SWEEP_BLOCK frequencies. Raises
+    ValueError for an empty or reversed band or for n_points outside
     2..MAX_N_POINTS, and PoleError at the first grid frequency whose chain
     matrix overflows.
     """
@@ -239,14 +244,20 @@ def dispersion_sweep(
     if not 2 <= n_points <= MAX_N_POINTS:
         raise ValueError(f"n_points must be within 2..{MAX_N_POINTS}, got {n_points}")
     f = np.linspace(f_start, f_stop, n_points)
+    blocks = [
+        _sweep_columns(cell, f[lo : lo + _SWEEP_BLOCK]) for lo in range(0, n_points, _SWEEP_BLOCK)
+    ]
+    # one block keeps its arrays: joining would copy them into fresh memory
+    return DispersionSweep(*(blocks[0] if len(blocks) == 1 else map(np.concatenate, zip(*blocks))))
+
+
+def _sweep_columns(cell: CrlhUnitCell, f: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The DispersionSweep columns of cell over the frequencies f, in field order."""
     beta, alpha = bloch_gamma(cell, f)
     k0 = _k0(f)
     region = classify(beta, alpha, k0, cell.period)
     leaky = (region == _LH) | (region == _RH)
-    scan = np.where(leaky, _scan_deg(beta, k0), np.nan)
-    return DispersionSweep(
-        f=f, beta=beta, alpha=alpha, k0=k0, region=region, leaky=leaky, scan_deg=scan
-    )
+    return f, beta, alpha, k0, region, leaky, np.where(leaky, _scan_deg(beta, k0), np.nan)
 
 
 def _brentq(f, xpre, xcur, fpre, fcur, xtol, maxiter=_BRENT_MAXITER):

@@ -9,6 +9,7 @@ on any platform.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import math
@@ -410,7 +411,9 @@ def cmd_pattern(config: RunConfig, args) -> int:
 
 def cmd_sweep(config: RunConfig, args) -> int:
     out_dir = args.out if args.out is not None else "."
-    states = {}
+    # every state is solved before the first file is written, so a state
+    # that fails leaves no output behind
+    solved = {}
     for n in sorted(config.targets):
         cell = config.cell(n)
         try:
@@ -419,12 +422,15 @@ def cmd_sweep(config: RunConfig, args) -> int:
             print(f"error: {n}-finger state: {exc}", file=sys.stderr)
             return 1
         sweep = _sweep(cell, config)
-        csv_name = f"dispersion_{n}f.csv"
-        _write_chunks(_dispersion_csv(sweep, cell.period), out_dir, csv_name)
-        angles = sweep.scan_deg[sweep.leaky]
         pat = pattern_for_frequency(
             cell, f0, config.cell_geometry.n_cells, leakage_np_per_cell=args.leakage
         )
+        solved[n] = cell, f0, sweep, pat
+    states = {}
+    for n, (cell, f0, sweep, pat) in solved.items():
+        csv_name = f"dispersion_{n}f.csv"
+        _write_chunks(_dispersion_csv(sweep, cell.period), out_dir, csv_name)
+        angles = sweep.scan_deg[sweep.leaky]
         states[str(n)] = {
             "transition_Hz": f0,
             "target_Hz": config.targets[n],
@@ -463,7 +469,9 @@ def cmd_reproduce(config: RunConfig, args) -> int:
 # ------------------------------------------------------------------ parser
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: it depends on no input."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH", help="config file overlaying the bundled profile")
     common.add_argument("--format", choices=("csv", "json"), default="csv", help="tabular output format")

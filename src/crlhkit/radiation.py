@@ -79,6 +79,40 @@ def _crossing_angles(
     return angle
 
 
+def _as_slice(rows: np.ndarray) -> slice | np.ndarray:
+    """rows as the equal slice when they are evenly spaced, so that indexing
+    with them gives a view rather than a gathered copy; otherwise unchanged."""
+    if len(rows) > 1:
+        step = int(rows[1] - rows[0])
+        if step != 0 and (np.diff(rows) == step).all():
+            stop = int(rows[-1]) + step
+            return slice(int(rows[0]), stop if stop >= 0 else None, step)
+    return rows
+
+
+def _mirror_rows(sin_theta: np.ndarray, phase_step: np.ndarray):
+    """Split the angle rows into those that get their own steering phasors
+    and mirror rows, whose phasors are the conjugates of a source row's.
+
+    A row mirrors another when its sin theta is the exact negative of that
+    row's and the phase step k0 p sin theta of the source stays nonzero at
+    every frequency, since a zero phase has no sign to conjugate. Returns
+    (own, mirror, source), the last two paired up, each as a slice when it
+    can be one (_as_slice).
+    """
+    order = np.argsort(sin_theta, kind="stable")
+    ascending = sin_theta[order]
+    at = np.minimum(np.searchsorted(ascending, -sin_theta), len(ascending) - 1)
+    is_mirror = (
+        (sin_theta < 0.0)
+        & (ascending[at] == -sin_theta)
+        & (phase_step.min() * -sin_theta != 0.0)
+    )
+    mirror = np.flatnonzero(is_mirror)
+    own = np.flatnonzero(~is_mirror)
+    return _as_slice(own), _as_slice(mirror), _as_slice(order[at[mirror]])
+
+
 def array_factor(
     gamma: complex | np.ndarray,
     p: float,
@@ -109,22 +143,43 @@ def array_factor(
     theta = default_theta_grid() if theta_grid is None else np.asarray(theta_grid, dtype=float)
     if theta.ndim != 1 or len(theta) < 2 or not np.all(np.diff(theta) > 0.0):
         raise ValueError("theta grid must be a strictly increasing 1-D array")
+    if not np.isfinite(theta).all():
+        raise ValueError("theta grid must be finite")
 
-    k0 = 2.0 * math.pi * freqs.reshape(-1) / C0
-    n = np.arange(n_cells)
-    excitation = np.exp(-n * gammas.reshape(-1, 1) * p)
-    phase = 1j * k0 * p
+    with np.errstate(over="ignore"):
+        k0 = 2.0 * math.pi * freqs.reshape(-1) / C0
+        phase_step = k0 * p
+    if not np.isfinite(phase_step).all():
+        raise ValueError(f"k0 p must be finite, got {phase_step.max()} at period {p}")
+    excitation = np.exp(-np.arange(n_cells) * gammas.reshape(-1, 1) * p)
     sin_theta = np.sin(np.radians(theta))
+    # Steering entry exp(j n k0 p sin theta) of angle row theta and cell n.
+    # Own rows take one complex exp per n >= 1, mirror rows the conjugate
+    # of their source row, and n = 0 is 1. The exp argument is the one the
+    # complex product (j k0 p sin theta) n gives: real part zero, imaginary
+    # part (k0 p sin theta + 0.0) n, so every entry keeps its bits.
+    own, mirror, source = _mirror_rows(sin_theta, phase_step)
+    sin_own = sin_theta[own]
+    n = np.arange(1, n_cells)
     # the F x theta x n_cells steering tensor, _BLOCK frequencies at a time
     block_rows = min(_BLOCK, len(k0))
     steering = np.empty((block_rows, len(theta), n_cells), dtype=complex)
+    steering.real[..., 0] = 1.0
+    phase = np.zeros((block_rows, len(sin_own), n_cells - 1), dtype=complex)
+    phasor = np.empty_like(phase)
     field = np.empty((block_rows, len(theta), 1), dtype=complex)
     db = np.empty((len(k0), len(theta)))
     for lo in range(0, len(k0), _BLOCK):
         hi = min(lo + _BLOCK, len(k0))
         block = steering[: hi - lo]
-        np.multiply((phase[lo:hi, None] * sin_theta)[..., None], n, out=block)
-        np.exp(block, out=block)
+        # + 0.0 as in the complex product: a zero phase is never negative
+        step = phase_step[lo:hi, None] * sin_own + 0.0
+        np.multiply(step[..., None], n, out=phase[: hi - lo].imag)
+        np.exp(phase[: hi - lo], out=phasor[: hi - lo])
+        block[:, own, 1:] = phasor[: hi - lo]
+        # exp(j 0) = 1 with the zero imaginary part signed like the phase step
+        block.imag[:, own, 0] = step * 0.0
+        block[:, mirror] = np.conjugate(block[:, source])
         np.matmul(block, excitation[lo:hi, :, None], out=field[: hi - lo])
         np.abs(field[: hi - lo, :, 0], out=db[lo:hi])
     # magnitude to dB in place: 20 log10(max(|AF|, floor) / peak)

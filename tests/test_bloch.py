@@ -10,6 +10,7 @@ from scipy.optimize import brentq
 
 import bloch_oracle
 from perturb import CELL_SCALES, R_SERIES, perturbed
+from crlhkit import bloch
 from crlhkit.bloch import (
     MAX_N_POINTS,
     REGIONS,
@@ -241,6 +242,28 @@ class TestDispersionSweep:
         with pytest.raises(PoleError) as err:
             dispersion_sweep(cells[4], 1e9, 1e306, 3)
         assert err.value.frequency == 5e305
+
+    def test_grid_over_one_block_matches_one_pass(self, cells, monkeypatch):
+        n = bloch._SWEEP_BLOCK + 1
+        blocked = dispersion_sweep(cells[4], 7.5e9, 12e9, n)
+        monkeypatch.setattr(bloch, "_SWEEP_BLOCK", n)
+        whole = dispersion_sweep(cells[4], 7.5e9, 12e9, n)
+        for name, column in vars(whole).items():
+            assert getattr(blocked, name).tobytes() == column.tobytes(), name
+
+    def test_pole_in_the_second_block_names_its_frequency(self, cells, monkeypatch):
+        # this cell's chain matrix first overflows near 2.86e111 Hz, about
+        # two thirds along the grid, so in its second block
+        block = bloch._SWEEP_BLOCK
+        n, f_stop = 2 * block, 4.3e111
+        with pytest.raises(PoleError) as blocked:
+            dispersion_sweep(cells[4], 1e9, f_stop, n)
+        monkeypatch.setattr(bloch, "_SWEEP_BLOCK", n)
+        with pytest.raises(PoleError) as whole:
+            dispersion_sweep(cells[4], 1e9, f_stop, n)
+        assert blocked.value.frequency == whole.value.frequency
+        first_bad = int(np.searchsorted(np.linspace(1e9, f_stop, n), whole.value.frequency))
+        assert block < first_bad < n
 
     def test_invalid_grid_rejected(self, cells):
         with pytest.raises(ValueError):

@@ -401,6 +401,22 @@ class TestCliCommands:
         err = capsys.readouterr().err
         assert "4-finger" in err and "does not change sign" in err
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "target_3_ghz = 1e-300\n",  # the 3-finger state cannot be calibrated
+            "freq_start_ghz = 9.4\n",  # the 4-finger root solve has no bracket
+        ],
+        ids=["calibration", "root-solve"],
+    )
+    def test_failed_sweep_leaves_no_output(self, tmp_path, capsys, text):
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", write_cfg(tmp_path, text), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert not out.exists() or not list(out.glob("*.csv"))
+
     def test_reproduce_passes_on_defaults(self, capsys):
         assert main(["reproduce"]) == 0
         out = capsys.readouterr().out

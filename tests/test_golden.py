@@ -1,7 +1,9 @@
 """Byte-for-byte pins of the paper-default outputs.
 
-The digests were taken from the release that swept one frequency at a time
-with scalar cmath; the numpy kernel must reproduce those files exactly.
+The sweep and reproduce digests were taken from the release that swept one
+frequency at a time with scalar cmath, the pattern digests from the array
+factor that took a complex exp of every steering entry; the current code
+must reproduce those outputs exactly.
 """
 
 import hashlib
@@ -17,6 +19,12 @@ SWEEP_DIGESTS = {
     "sweep_summary.json": "00bf82bda7a84bcd49af0f400af9a90cf407b8b2a7df25fc836df7a99f831b4c",
 }
 REPRODUCE_JSON_DIGEST = "47bd231ee334c098364c57c766a8ce80cfa9087ad99a7ce9ad8ea5f475d3f032"
+# stdout of `pattern` in its three output forms
+PATTERN_DIGESTS = {
+    ("--format", "json", "--leakage"): "907bb4d1196ba74040ad04fdc6053ad461f681daa546cb1458ec8ddb8e6c7e25",
+    ("--freq", "8.5", "--freq", "11"): "ff04ce985eaa83e0aaa61651b9532d5f3824ffee20840b6455dc1cef2c22d92c",
+    ("--polar-data",): "a967f99e82fc7eba05b2b90f2a502dc97bdcf794dc4b1ca522920597784927fa",
+}
 
 
 @pytest.fixture(autouse=True)
@@ -38,3 +46,9 @@ def test_sweep_files_are_pinned(tmp_path, capsys):
 def test_reproduce_json_is_pinned(capsys):
     assert main(["reproduce", "--json"]) == 0
     assert sha256(capsys.readouterr().out.encode("utf-8")) == REPRODUCE_JSON_DIGEST
+
+
+@pytest.mark.parametrize("flags", list(PATTERN_DIGESTS))
+def test_pattern_output_is_pinned(flags, capsys):
+    assert main(["pattern", *flags]) == 0
+    assert sha256(capsys.readouterr().out.encode("utf-8")) == PATTERN_DIGESTS[flags]

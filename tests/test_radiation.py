@@ -7,7 +7,12 @@ from hypothesis import strategies as st
 
 import radiation_oracle
 from crlhkit.bloch import bloch_gamma, dispersion_sweep
-from crlhkit.radiation import array_factor, default_theta_grid, pattern_for_frequency
+from crlhkit.radiation import (
+    _mirror_rows,
+    array_factor,
+    default_theta_grid,
+    pattern_for_frequency,
+)
 from perturb import CELL_SCALES, R_SERIES, perturbed
 
 F0 = 9.3e9
@@ -160,6 +165,52 @@ class TestBatchedArrayFactor:
         pats = pattern_for_frequency(cells[4], freqs, 8, leakage_np_per_cell=0.05)
         gammas = [complex(0.05 / P, bloch_gamma(cells[4], f)[0]) for f in freqs.tolist()]
         assert_rows_match_one_at_a_time(pats, gammas, cells[4].period, 8)
+
+
+class TestMirroredSteering:
+    """array_factor takes one exp per own row and fills mirror rows with
+    conjugates; every grid below must still match the oracle bit for bit."""
+
+    FREQS = np.array([8.2e9, 9.0e9, F0, 9.9e9, 10.7e9, 12.5e9])
+    GAMMAS = np.array([0.3j, 15.6 - 110.0j, 0j, 15.6 + 40.0j, 2.0 + 160.0j, 15.6 - 260.0j])
+
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            default_theta_grid(),
+            np.linspace(-89.5, 89.5, 180),  # symmetric, even length, no broadside row
+            default_theta_grid(0.1),  # its linspace is not bit-symmetric
+            np.linspace(10.0, 60.0, 41),  # one-sided: no mirror rows
+            np.array([-60.0, -45.0, -30.0, -0.0, 1e-320, 30.0, 60.0, 89.0]),
+        ],
+        ids=["default", "even", "step-0.1", "one-sided", "signed-zero"],
+    )
+    @pytest.mark.parametrize("n_cells", [1, 8])
+    def test_matches_the_oracle(self, grid, n_cells):
+        pats = array_factor(self.GAMMAS, P, n_cells, self.FREQS, grid)
+        assert_rows_match_one_at_a_time(pats, self.GAMMAS.tolist(), P, n_cells)
+
+    def test_default_grid_mirrors_every_negative_angle(self):
+        sin_theta = np.sin(np.radians(default_theta_grid()))
+        own, mirror, source = _mirror_rows(sin_theta, np.array([0.6]))
+        rows = np.arange(len(sin_theta))
+        assert rows[own].tolist() == list(range(360, 721))
+        assert np.array_equal(sin_theta[mirror], -sin_theta[source])
+        assert (sin_theta[mirror] < 0.0).all() and len(rows[mirror]) == 360
+
+    def test_pair_whose_phase_rounds_to_zero_is_not_mirrored(self):
+        # sin theta = +-5e-324: k0 p sin theta is zero at 5 GHz, and a zero
+        # phase has no sign to conjugate
+        sin_theta = np.sin(np.radians(np.array([-3e-322, 3e-322])))
+        for f, mirrored in ((5e9, 0), (F0, 1)):
+            phase_step = np.array([2.0 * math.pi * f / 299792458.0 * P])
+            assert len(_mirror_rows(sin_theta, phase_step)[1]) == mirrored
+
+    def test_non_finite_grid_or_phase_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            array_factor(0.0j, P, 8, F0, theta_grid=np.array([0.0, np.inf]))
+        with pytest.raises(ValueError, match="finite"):
+            array_factor(0.0j, P, 8, 1e308)
 
 
 class TestPatternForFrequency:
