@@ -32,12 +32,9 @@ from .geometry import (
     CellGeometry,
     IdcGeometry,
     SubstrateSpec,
-    SwitchState,
     default_cell_geometry,
     default_idc,
     default_substrate,
-    finger_count_for_state,
-    state_for_finger_count,
 )
 from .idc import (
     EllipticModulus,
@@ -76,7 +73,6 @@ __all__ = [
     "RunConfig",
     "SlowWaveError",
     "SubstrateSpec",
-    "SwitchState",
     "TwoPortAbcd",
     "array_factor",
     "bloch_gamma",
@@ -90,7 +86,6 @@ __all__ = [
     "dispersion_sweep",
     "elliptic_ratio",
     "extract",
-    "finger_count_for_state",
     "is_balanced",
     "l_c_from_line_theory",
     "load_profile",
@@ -101,7 +96,6 @@ __all__ = [
     "resonances",
     "scan_angle",
     "scan_profile",
-    "state_for_finger_count",
     "transition_frequency",
     "unit_cell_abcd",
     "__version__",

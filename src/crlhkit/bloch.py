@@ -59,20 +59,6 @@ class TwoPortAbcd:
     c: complex
     d: complex
 
-    @property
-    def determinant(self) -> complex:
-        """ad - bc; unity for any reciprocal network."""
-        return self.a * self.d - self.b * self.c
-
-    def cascade(self, other: "TwoPortAbcd") -> "TwoPortAbcd":
-        """Chain product self * other (self is the input-side section)."""
-        return TwoPortAbcd(
-            a=self.a * other.a + self.b * other.c,
-            b=self.a * other.b + self.b * other.d,
-            c=self.c * other.a + self.d * other.c,
-            d=self.c * other.b + self.d * other.d,
-        )
-
     def as_matrix(self) -> np.ndarray:
         return np.array([[self.a, self.b], [self.c, self.d]], dtype=complex)
 
@@ -129,14 +115,15 @@ def _chain(cell: CrlhUnitCell, f: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
     tank y = j(w C_R - 1/(w L_L)), then the other half; the cascade
     collapses to a = d = 1 + zy/2, b = z + z^2 y/4, c = y.
 
-    Raises ValueError for a frequency that is not positive, and PoleError
-    at the first frequency where an entry comes out non-finite. With
-    positive elements that is float overflow, not a real pole: the shunt
-    resonance of this topology is an admittance zero. Callers silence
+    Raises ValueError for a frequency that is not positive and finite, and
+    PoleError at the first frequency where an entry comes out non-finite.
+    With positive elements that is float overflow, not a real pole: the
+    shunt resonance of this topology is an admittance zero. Callers silence
     numpy's floating-point warnings, since overflow is reported this way.
     """
-    if (f <= 0.0).any():
-        raise ValueError(f"frequency must be positive, got {f[f <= 0.0][0]}")
+    invalid = ~((f > 0.0) & (f < math.inf))
+    if invalid.any():
+        raise ValueError(f"frequency must be positive and finite, got {f[invalid][0]}")
     w = 2.0 * math.pi * f
     z = np.empty(f.shape, dtype=complex)
     z.real = cell.r_series

@@ -117,48 +117,30 @@ def cell_for_state(
     *,
     z_c: float = DEFAULT_Z_BLOCH,
     series_combination: str = "half",
-    include_parasitics: bool = False,
-    sheet_resistivity: float = 0.0,
-    line_z0: float | None = None,
 ) -> CrlhUnitCell:
-    """Calibrated cell for the switch state with n active fingers.
+    """Calibrated lossless cell for the switch state with n active fingers.
 
-    The series capacitance comes from the capacitor extraction at n
+    The series capacitance is the capacitor's gap capacitance at n
     fingers, and the broadside frequency is looked up in `targets` (finger
     count to broadside frequency in Hz). Each period carries two capacitors
     in its through path, so the default combination is 'half' (C_L =
     C_series / 2, the two in series); 'full' assigns one capacitor per
     period instead.
-
-    With include_parasitics, the extracted finger resistance enters the
-    series branch and the inner-side shunt capacitances merge into C_R,
-    both scaled by the capacitor count implied by the combination; balance
-    then holds for the ideal part only.
     """
     try:
         f0 = targets[n]
     except KeyError:
         raise ConfigError(f"no broadside target configured for the {n}-finger state") from None
-    g = replace(geom.idc, n_fingers=n)
-    model = idc.extract(g, sub, sheet_resistivity=sheet_resistivity, z0=line_z0)
+    c_series = idc.c_series_gap(replace(geom.idc, n_fingers=n), sub)
     if series_combination == "half":
-        c_l = model.c_series / 2.0
-        caps_per_cell = 2
+        c_l = c_series / 2.0
     elif series_combination == "full":
-        c_l = model.c_series
-        caps_per_cell = 1
+        c_l = c_series
     else:
         raise ConfigError(
             f"series_combination must be 'half' or 'full', got {series_combination!r}"
         )
     try:
-        cell = calibrate_balanced(c_l, f0, z_c=z_c, period=geom.period)
+        return calibrate_balanced(c_l, f0, z_c=z_c, period=geom.period)
     except ValueError as exc:
         raise ValueError(f"cannot calibrate the {n}-finger state: {exc}") from None
-    if include_parasitics:
-        cell = replace(
-            cell,
-            r_series=caps_per_cell * model.r_series,
-            c_r=cell.c_r + caps_per_cell * model.c_shunt,
-        )
-    return cell

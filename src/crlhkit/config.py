@@ -76,6 +76,7 @@ class RunConfig:
     f_stop: float
     n_points: int
     z_bloch: float = 50.0
+    # z0_line and sheet_resistance feed only the `idc` report; the cell is lossless
     z0_line: float | None = None  # None derives the microstrip value
     sheet_resistance: float = 0.0
     series_combination: str = "half"
@@ -130,8 +131,6 @@ class RunConfig:
             self.targets,
             z_c=self.z_bloch,
             series_combination=self.series_combination,
-            sheet_resistivity=self.sheet_resistance,
-            line_z0=self.z0_line,
         )
 
 

@@ -7,84 +7,20 @@ formula); conversion happens at each formula boundary, never in storage.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 M_PER_CM = 1e-2
 M_PER_UM = 1e-6
-M_PER_MM = 1e-3
+
+C0 = 299_792_458.0  # speed of light [m/s]
 
 
 def to_cm(meters: float) -> float:
     return meters / M_PER_CM
 
 
-def from_cm(cm: float) -> float:
-    return cm * M_PER_CM
-
-
 def to_um(meters: float) -> float:
     return meters / M_PER_UM
-
-
-def from_um(um: float) -> float:
-    return um * M_PER_UM
-
-
-def to_mm(meters: float) -> float:
-    return meters / M_PER_MM
-
-
-def from_mm(mm: float) -> float:
-    return mm * M_PER_MM
-
-
-@dataclass(frozen=True)
-class PhysicalConstants:
-    """Fundamental constants used by the line-theory formulas."""
-
-    c0: float = 299_792_458.0        # speed of light [m/s]
-    eta0: float = 376.730_313_668    # free-space wave impedance [ohm]
-
-
-CONSTANTS = PhysicalConstants()
-C0 = CONSTANTS.c0
-
-
-class SwitchState(enum.Enum):
-    """RF switch configuration of one reconfigurable capacitor.
-
-    The switches short selected fingers into the structure: with every
-    switch off only two fingers are active, turning the upper pair off
-    leaves three, and all-on engages the full four-finger capacitor.
-    """
-
-    ALL_OFF = "all-off"
-    UPPER_OFF = "upper-off"
-    ALL_ON = "all-on"
-
-
-_FINGERS_BY_STATE = {
-    SwitchState.ALL_OFF: 2,
-    SwitchState.UPPER_OFF: 3,
-    SwitchState.ALL_ON: 4,
-}
-
-
-def finger_count_for_state(state: SwitchState) -> int:
-    """Active finger count selected by a switch state (2, 3, or 4)."""
-    try:
-        return _FINGERS_BY_STATE[state]
-    except KeyError:
-        raise ValueError(f"not a switch state: {state!r}") from None
-
-
-def state_for_finger_count(n: int) -> SwitchState:
-    """Inverse of finger_count_for_state; raises for counts no state selects."""
-    for state, count in _FINGERS_BY_STATE.items():
-        if count == n:
-            return state
-    raise ValueError(f"no switch state selects {n} fingers (choose 2, 3, or 4)")
 
 
 @dataclass(frozen=True)

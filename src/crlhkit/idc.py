@@ -25,14 +25,12 @@ _K_BRANCH_SPLIT = 0.707
 class EllipticModulus:
     """Conformal-mapping modulus of the finger cross-section.
 
-    a is the half finger width, b the half pitch (finger width plus gap,
-    halved); k = tan^2(a pi / 4b) and k_prime its complement.
+    k = tan^2(a pi / 4b) with a the half finger width and b the half pitch
+    (finger width plus gap, halved); k_prime is its complement.
     """
 
     k: float
     k_prime: float
-    a: float
-    b: float
 
 
 @dataclass(frozen=True)
@@ -97,7 +95,7 @@ def modulus_from_geometry(g: IdcGeometry) -> EllipticModulus:
     a = g.finger_width / 2.0
     b = (g.finger_width + g.gap) / 2.0
     k = math.tan(a * math.pi / (4.0 * b)) ** 2
-    return EllipticModulus(k=k, k_prime=math.sqrt(1.0 - k * k), a=a, b=b)
+    return EllipticModulus(k=k, k_prime=math.sqrt(1.0 - k * k))
 
 
 def c_series_gap(g: IdcGeometry, sub: SubstrateSpec) -> float:

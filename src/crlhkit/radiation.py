@@ -221,8 +221,8 @@ def pattern_for_frequency(
     """
     beta, alpha = bloch_gamma(cell, f)
     if leakage_np_per_cell is not None:
-        if leakage_np_per_cell < 0.0:
-            raise ValueError(f"leakage must be >= 0, got {leakage_np_per_cell}")
+        if not 0.0 <= leakage_np_per_cell < math.inf:
+            raise ValueError(f"leakage must be >= 0 and finite, got {leakage_np_per_cell}")
         alpha = leakage_np_per_cell / cell.period
     gamma = np.empty(np.shape(beta), dtype=complex)
     gamma.real = alpha

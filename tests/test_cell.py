@@ -158,12 +158,3 @@ class TestCellForState:
         f0s = [resonances(cells[n]).omega_se for n in (2, 3, 4)]
         assert c_ls[0] < c_ls[1] < c_ls[2]
         assert f0s[0] > f0s[1] > f0s[2]
-
-    def test_parasitics_enter_series_and_shunt(self):
-        ideal = state_cell(4)
-        lossy = state_cell(4, include_parasitics=True, sheet_resistivity=1.0)
-        model = extract(replace(GEOM.idc, n_fingers=4), SUB, sheet_resistivity=1.0)
-        assert lossy.r_series == 2.0 * model.r_series
-        assert lossy.c_r == ideal.c_r + 2.0 * model.c_shunt
-        # the merged shunt capacitance detunes the ideal balance
-        assert not is_balanced(lossy, rel_tol=1e-3)

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 from dataclasses import replace
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import crlhkit
 from crlhkit import selfcheck
 from crlhkit.bloch import MAX_N_POINTS, REGIONS, dispersion_sweep
 from crlhkit.cell import resonances
@@ -28,6 +30,18 @@ from crlhkit.errors import ConfigError, CrlhError
 @pytest.fixture(autouse=True)
 def clean_env(monkeypatch):
     monkeypatch.delenv("CRLH_PROFILE", raising=False)
+
+
+def run_python(*args):
+    """A child interpreter that imports the crlhkit under test."""
+    src = os.path.dirname(os.path.dirname(crlhkit.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
 
 
 def write_cfg(tmp_path, text):
@@ -226,6 +240,21 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="5-finger"):
             cfg.cell(5)
 
+    def test_loss_keys_feed_only_the_idc_report(self, tmp_path, capsys):
+        # the dispersion cell is lossless whatever the two keys say
+        base = load_profile("paper-default")
+        r_series = []
+        for sheet in (1.0, 2.0):
+            path = write_cfg(
+                tmp_path, f"sheet_resistance_ohm_per_sq = {sheet}\nz0_line_ohm = 75\n"
+            )
+            for n in base.targets:
+                assert resolve_config(path).cell(n) == base.cell(n)
+            assert main(["idc", "--config", path, "--format", "json"]) == 0
+            r_series.append(json.loads(capsys.readouterr().out)["r_series_ohm"])
+        assert 0.0 < r_series[0]
+        assert r_series[1] == pytest.approx(2.0 * r_series[0], rel=1e-8)
+
     def test_idc_geometry_refingering(self):
         cfg = load_profile("paper-default")
         assert cfg.idc_geometry().n_fingers == 4
@@ -417,6 +446,18 @@ class TestCliCommands:
         assert captured.err.startswith("error: ")
         assert not out.exists() or not list(out.glob("*.csv"))
 
+    @pytest.mark.parametrize("leakage", ["nan", "inf"])
+    @pytest.mark.parametrize("command", ["pattern", "sweep"])
+    def test_non_finite_leakage_rejected(self, tmp_path, capsys, command, leakage):
+        out = tmp_path / "out"
+        assert main([command, "--leakage", leakage, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: leakage must be >= 0 and finite, got {leakage}"
+        ]
+        assert not out.exists() or not any(out.iterdir())
+
     def test_reproduce_passes_on_defaults(self, capsys):
         assert main(["reproduce"]) == 0
         out = capsys.readouterr().out
@@ -492,25 +533,16 @@ class TestCliCommands:
         assert "no bundled profile" in capsys.readouterr().err
 
     def test_console_script_entry_point(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "crlhkit.cli", "--version"],
-            capture_output=True,
-            text=True,
-        )
+        proc = run_python("-m", "crlhkit.cli", "--version")
         assert proc.returncode == 0
         assert "crlhkit" in proc.stdout
 
     def test_cli_import_loads_no_scipy(self):
         # numpy is the only runtime dependency; scipy is a test oracle only
-        proc = subprocess.run(
-            [
-                sys.executable,
-                "-c",
-                "import sys, crlhkit.cli; "
-                "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))",
-            ],
-            capture_output=True,
-            text=True,
+        proc = run_python(
+            "-c",
+            "import sys, crlhkit.cli; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))",
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"

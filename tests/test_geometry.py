@@ -1,55 +1,22 @@
 import math
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from crlhkit.geometry import (
     CellGeometry,
     IdcGeometry,
     SubstrateSpec,
-    SwitchState,
     default_cell_geometry,
     default_idc,
     default_substrate,
-    finger_count_for_state,
-    from_cm,
-    from_mm,
-    from_um,
-    state_for_finger_count,
     to_cm,
-    to_mm,
     to_um,
 )
-
-
-def test_state_finger_mapping():
-    assert finger_count_for_state(SwitchState.ALL_OFF) == 2
-    assert finger_count_for_state(SwitchState.UPPER_OFF) == 3
-    assert finger_count_for_state(SwitchState.ALL_ON) == 4
-
-
-def test_state_round_trip():
-    for state in SwitchState:
-        assert state_for_finger_count(finger_count_for_state(state)) is state
-
-
-def test_unknown_finger_count_rejected():
-    with pytest.raises(ValueError):
-        state_for_finger_count(5)
-
-
-@given(st.floats(min_value=1e-9, max_value=1e3, allow_nan=False))
-def test_unit_round_trips(x):
-    assert from_cm(to_cm(x)) == pytest.approx(x, rel=1e-12)
-    assert from_um(to_um(x)) == pytest.approx(x, rel=1e-12)
-    assert from_mm(to_mm(x)) == pytest.approx(x, rel=1e-12)
 
 
 def test_unit_scale_factors():
     assert to_cm(1.0) == 100.0
     assert to_um(1e-6) == 1.0
-    assert to_mm(0.0032) == pytest.approx(3.2)
 
 
 def test_substrate_validation():

@@ -1,9 +1,10 @@
-"""The README's library example runs as written."""
+"""The README's library example runs as written, on the exported API."""
 
 import math
 import pathlib
 import re
 
+import crlhkit
 from crlhkit import DispersionSweep
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
@@ -20,3 +21,9 @@ def test_library_example_runs():
     assert namespace["angles"].min() < -45.0 < 45.0 < namespace["angles"].max()
     assert abs(namespace["beam"]) <= 1.0
     assert namespace["beams"].shape == namespace["band"].shape
+
+
+def test_every_exported_name_resolves():
+    namespace = {}
+    exec("from crlhkit import *", namespace)
+    assert all(name in namespace for name in crlhkit.__all__)
