@@ -6,97 +6,70 @@ network, and array-factor pattern synthesis, with a CLI that emits
 plot-ready CSV/JSON datasets.
 """
 
-from .bloch import (
-    REGIONS,
-    DispersionSweep,
-    Region,
-    TwoPortAbcd,
-    bloch_gamma,
-    dispersion_sweep,
-    scan_angle,
-    scan_profile,
-    transition_frequency,
-    unit_cell_abcd,
-)
-from .cell import (
-    CrlhUnitCell,
-    ResonancePair,
-    calibrate_balanced,
-    cell_for_state,
-    is_balanced,
-    resonances,
-)
-from .config import RunConfig, load_profile, resolve_config
-from .errors import BracketError, ConfigError, CrlhError, PoleError, SlowWaveError
-from .geometry import (
-    CellGeometry,
-    IdcGeometry,
-    SubstrateSpec,
-    default_cell_geometry,
-    default_idc,
-    default_substrate,
-)
-from .idc import (
-    EllipticModulus,
-    IdcLumpedModel,
-    c_series_approx,
-    c_series_gap,
-    elliptic_ratio,
-    extract,
-    l_c_from_line_theory,
-    modulus_from_geometry,
-    r_series,
-)
-from .radiation import (
-    RadiationPattern,
-    array_factor,
-    pattern_for_frequency,
-)
+import importlib
+
+# Each exported name and the submodule that defines it. A name's module is
+# imported on first access (PEP 562), so `import crlhkit` loads no numpy and
+# a command imports only the modules it runs.
+_EXPORTS = {
+    "bloch": (
+        "REGIONS",
+        "DispersionSweep",
+        "Region",
+        "TwoPortAbcd",
+        "bloch_gamma",
+        "dispersion_sweep",
+        "scan_angle",
+        "scan_profile",
+        "transition_frequency",
+        "unit_cell_abcd",
+    ),
+    "cell": (
+        "CrlhUnitCell",
+        "ResonancePair",
+        "calibrate_balanced",
+        "cell_for_state",
+        "is_balanced",
+        "resonances",
+    ),
+    "config": ("RunConfig", "load_profile", "resolve_config"),
+    "errors": ("BracketError", "ConfigError", "CrlhError", "PoleError", "SlowWaveError"),
+    "geometry": (
+        "CellGeometry",
+        "IdcGeometry",
+        "SubstrateSpec",
+        "default_cell_geometry",
+        "default_idc",
+        "default_substrate",
+    ),
+    "idc": (
+        "EllipticModulus",
+        "IdcLumpedModel",
+        "c_series_approx",
+        "c_series_gap",
+        "elliptic_ratio",
+        "extract",
+        "l_c_from_line_theory",
+        "modulus_from_geometry",
+        "r_series",
+    ),
+    "radiation": ("RadiationPattern", "array_factor", "pattern_for_frequency"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BracketError",
-    "CellGeometry",
-    "ConfigError",
-    "CrlhError",
-    "CrlhUnitCell",
-    "DispersionSweep",
-    "EllipticModulus",
-    "IdcGeometry",
-    "IdcLumpedModel",
-    "PoleError",
-    "REGIONS",
-    "RadiationPattern",
-    "Region",
-    "ResonancePair",
-    "RunConfig",
-    "SlowWaveError",
-    "SubstrateSpec",
-    "TwoPortAbcd",
-    "array_factor",
-    "bloch_gamma",
-    "c_series_approx",
-    "c_series_gap",
-    "calibrate_balanced",
-    "cell_for_state",
-    "default_cell_geometry",
-    "default_idc",
-    "default_substrate",
-    "dispersion_sweep",
-    "elliptic_ratio",
-    "extract",
-    "is_balanced",
-    "l_c_from_line_theory",
-    "load_profile",
-    "modulus_from_geometry",
-    "pattern_for_frequency",
-    "r_series",
-    "resolve_config",
-    "resonances",
-    "scan_angle",
-    "scan_profile",
-    "transition_frequency",
-    "unit_cell_abcd",
-    "__version__",
-]
+__all__ = [*sorted(_MODULE_OF), "__version__"]
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_MODULE_OF})

@@ -23,15 +23,11 @@ import numpy as np
 
 from .cell import CrlhUnitCell
 from .errors import BracketError, PoleError, SlowWaveError
-from .geometry import C0
+from .geometry import C0, MAX_N_POINTS
 
 DEFAULT_F_START = 7.5e9
 DEFAULT_F_STOP = 12.0e9
 DEFAULT_N_POINTS = 451
-# Largest sweep grid, 66x the 15001-point grid of a dense sweep. A sweep
-# returns seven columns of this length, so the cap bounds its memory by the
-# input rather than by the machine.
-MAX_N_POINTS = 1_000_000
 # Frequencies per pass of the kernel in dispersion_sweep. Its complex
 # temporaries grow with the block, not the grid, so a sweep peaks at about
 # twice its result columns; a dense 15001-point sweep stays one block.
@@ -136,9 +132,7 @@ def _chain(cell: CrlhUnitCell, f: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
     b = z + zh * zh * y
     bad = ~(np.isfinite(a) & np.isfinite(b) & np.isfinite(y))
     if bad.any():
-        raise PoleError(
-            float(f[bad.argmax()]), "chain-matrix entries are non-finite at a branch resonance"
-        )
+        raise PoleError(float(f[bad.argmax()]), "chain-matrix entries overflow")
     return a, b, y
 
 
@@ -331,10 +325,14 @@ def scan_angle(beta: float, f: float) -> float:
     """Main-beam direction from the phase constant: asin(beta/k0) [deg].
 
     Negative angles are the backward quadrant. A slow wave (|beta| > k0)
-    is guided, radiates no beam, and raises SlowWaveError.
+    is guided, radiates no beam, and raises SlowWaveError. Raises
+    ValueError for a frequency that is not positive and finite or a beta
+    that is not finite.
     """
-    if f <= 0.0:
-        raise ValueError(f"frequency must be positive, got {f}")
+    if not 0.0 < f < math.inf:
+        raise ValueError(f"frequency must be positive and finite, got {f}")
+    if not math.isfinite(beta):
+        raise ValueError(f"beta must be finite, got {beta}")
     k0 = _k0(f)
     if abs(beta) > k0:
         raise SlowWaveError(

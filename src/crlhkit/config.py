@@ -17,10 +17,9 @@ import os
 from dataclasses import dataclass, replace
 from importlib import resources
 
-from .bloch import MAX_N_POINTS
 from .cell import CrlhUnitCell, cell_for_state
 from .errors import ConfigError
-from .geometry import CellGeometry, IdcGeometry, SubstrateSpec
+from .geometry import MAX_N_POINTS, CellGeometry, IdcGeometry, SubstrateSpec
 
 PROFILE_ENV_VAR = "CRLH_PROFILE"
 DEFAULT_PROFILE = "paper-default"

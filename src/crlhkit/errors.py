@@ -18,7 +18,7 @@ class BracketError(CrlhError):
 
 
 class PoleError(CrlhError):
-    """Chain-matrix entries are singular at this frequency."""
+    """Chain-matrix entries overflow at this frequency."""
 
     def __init__(self, frequency: float, message: str):
         super().__init__(f"{message} (f = {frequency:.9g} Hz)")

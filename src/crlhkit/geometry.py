@@ -1,4 +1,6 @@
-"""Physical constants and geometric descriptions of the antenna stack.
+"""Physical constants, geometric descriptions of the antenna stack, and
+the numeric limits and defaults that the configuration and CLI check
+against before any numpy module loads.
 
 Every dimension is stored in SI units (meters). The closed-form capacitor
 formulas want mixed units (cm for the per-finger estimate, um for the gap
@@ -13,6 +15,13 @@ M_PER_CM = 1e-2
 M_PER_UM = 1e-6
 
 C0 = 299_792_458.0  # speed of light [m/s]
+
+# Largest sweep grid, 66x the 15001-point grid of a dense sweep. A sweep
+# returns seven columns of this length, so the cap bounds its memory by the
+# input rather than by the machine.
+MAX_N_POINTS = 1_000_000
+# Per-cell leakage of the array factor when --leakage is given bare.
+DEFAULT_LEAKAGE_NP_PER_CELL = 0.05
 
 
 def to_cm(meters: float) -> float:

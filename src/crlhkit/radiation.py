@@ -15,10 +15,9 @@ import numpy as np
 
 from .bloch import bloch_gamma
 from .cell import CrlhUnitCell
-from .geometry import C0
+from .geometry import C0, DEFAULT_LEAKAGE_NP_PER_CELL  # noqa: F401  (re-exported)
 
 DEFAULT_THETA_STEP_DEG = 0.25
-DEFAULT_LEAKAGE_NP_PER_CELL = 0.05
 
 # Relative magnitude floor so exact pattern nulls stay finite in dB.
 _NULL_FLOOR = 1e-15

@@ -360,8 +360,18 @@ class TestScanAngle:
             scan_angle(1.01 * k0_of(f), f)
 
     def test_nonpositive_frequency_rejected(self):
-        with pytest.raises(ValueError):
-            scan_angle(0.0, 0.0)
+        cases = [
+            (0.0, 0.0, "positive and finite"),
+            (0.0, -1e9, "positive and finite"),
+            (0.0, math.nan, "positive and finite"),
+            (1.0, math.inf, "positive and finite"),
+            (math.nan, 1e9, "beta must be finite"),
+            (math.inf, 1e9, "beta must be finite"),
+            (-math.inf, 1e9, "beta must be finite"),
+        ]
+        for beta, f, message in cases:
+            with pytest.raises(ValueError, match=message):
+                scan_angle(beta, f)
 
     @given(
         st.floats(min_value=0.0, max_value=1.0),

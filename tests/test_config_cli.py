@@ -44,6 +44,15 @@ def run_python(*args):
     )
 
 
+def imported_modules(report):
+    """Names of the modules an `-X importtime` report lists."""
+    return {
+        line.rsplit("|", 1)[1].strip()
+        for line in report.splitlines()
+        if line.startswith("import time:")
+    }
+
+
 def write_cfg(tmp_path, text):
     path = tmp_path / "override.cfg"
     path.write_text(text)
@@ -458,6 +467,15 @@ class TestCliCommands:
         ]
         assert not out.exists() or not any(out.iterdir())
 
+    def test_overflowing_frequency_is_reported_as_overflow(self, capsys):
+        # 1e-300 GHz: 1/(w C_L) squared overflows, no branch resonates
+        assert main(["pattern", "--freq", "1e-300"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: chain-matrix entries overflow (f = 1e-291 Hz)"
+        ]
+
     def test_reproduce_passes_on_defaults(self, capsys):
         assert main(["reproduce"]) == 0
         out = capsys.readouterr().out
@@ -538,11 +556,31 @@ class TestCliCommands:
         assert "crlhkit" in proc.stdout
 
     def test_cli_import_loads_no_scipy(self):
-        # numpy is the only runtime dependency; scipy is a test oracle only
+        # numpy is the only runtime dependency and loads with the first
+        # command that computes; scipy is a test oracle only
         proc = run_python(
             "-c",
             "import sys, crlhkit.cli; "
-            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))",
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'numpy')))",
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize("argv", [["--version"], ["idc"], ["cell", "calibrate"]])
+    def test_scalar_commands_load_no_numpy(self, argv):
+        proc = run_python("-X", "importtime", "-m", "crlhkit.cli", *argv)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout
+        modules = imported_modules(proc.stderr)
+        assert "crlhkit.config" in modules
+        assert not {m for m in modules if m.split(".")[0] == "numpy"}
+
+    def test_dispersion_runs_in_a_child_process(self, capsys):
+        proc = run_python("-X", "importtime", "-m", "crlhkit.cli", "dispersion", "--points", "7")
+        assert proc.returncode == 0, proc.stderr
+        modules = imported_modules(proc.stderr)
+        assert "numpy" in modules
+        # run as __main__, the CLI must not be imported a second time as crlhkit.cli
+        assert "crlhkit.cli" not in modules
+        assert main(["dispersion", "--points", "7"]) == 0
+        assert proc.stdout == capsys.readouterr().out

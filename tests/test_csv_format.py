@@ -13,9 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crlhkit import cli
+from crlhkit import table
 from crlhkit.bloch import dispersion_sweep
-from crlhkit.cli import _DISPERSION_HEADER, _csv_rows, _dispersion_columns, _dispersion_csv, fmt
+from crlhkit.cli import fmt
+from crlhkit.table import _DISPERSION_HEADER, _csv_rows, _dispersion_columns, _dispersion_csv
 from crlhkit.config import load_profile
 from perturb import CELL_SCALES, R_SERIES, perturbed
 
@@ -134,14 +135,14 @@ class TestE8Formatter:
 class TestDispersionCsv:
     @pytest.mark.parametrize(
         "n_points",
-        [cli._CSV_CHUNK_ROWS - 1, cli._CSV_CHUNK_ROWS, cli._CSV_CHUNK_ROWS + 1, 451, 15001],
+        [table._CSV_CHUNK_ROWS - 1, table._CSV_CHUNK_ROWS, table._CSV_CHUNK_ROWS + 1, 451, 15001],
     )
     def test_bytes_match_the_row_template(self, n_points):
         for n in (2, 3, 4):
             cell = CONFIG.cell(n)
             sweep = dispersion_sweep(cell, CONFIG.f_start, CONFIG.f_stop, n_points)
             chunks = list(_dispersion_csv(sweep, cell.period))
-            assert len(chunks) == 1 + -(-n_points // cli._CSV_CHUNK_ROWS)
+            assert len(chunks) == 1 + -(-n_points // table._CSV_CHUNK_ROWS)
             assert "".join(chunks) == oracle_csv(sweep, cell.period)
 
     @settings(max_examples=40, deadline=None)
@@ -159,6 +160,6 @@ class TestDispersionCsv:
     ):
         cell = perturbed(CONFIG.cell(n), scales, r_series)
         sweep = dispersion_sweep(cell, f_start, f_start * span, n_points)
-        with mock.patch.object(cli, "_CSV_CHUNK_ROWS", chunk_rows):
+        with mock.patch.object(table, "_CSV_CHUNK_ROWS", chunk_rows):
             text = "".join(_dispersion_csv(sweep, cell.period))
         assert text == oracle_csv(sweep, cell.period)
