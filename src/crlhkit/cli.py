@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Subcommands: idc, cell calibrate, dispersion, scan-angles, pattern, sweep,
-reproduce. Global flags go after the subcommand. Numbers are serialized
-with 9 significant digits so identical configs give byte-identical output
-on any platform.
+reproduce. Options go after the subcommand, and each subcommand takes only
+the options it reads. Numbers are serialized with 9 significant digits so
+identical configs give byte-identical output on any platform.
 
 Importing this module loads no numpy: each command imports the modules it
 runs, so `--version`, `idc` and `cell calibrate` start without it.
@@ -189,6 +189,9 @@ def cmd_scan_angles(config: RunConfig, args) -> int:
 
 
 def cmd_pattern(config: RunConfig, args) -> int:
+    if args.polar_data and args.format == "json":
+        print("error: --polar-data writes CSV; drop --format json", file=sys.stderr)
+        return 1
     import numpy as np
 
     from .radiation import pattern_for_frequency
@@ -306,16 +309,31 @@ def cmd_reproduce(config: RunConfig, args) -> int:
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process: it depends on no input."""
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", metavar="PATH", help="config file overlaying the bundled profile")
-    common.add_argument("--format", choices=("csv", "json"), default="csv", help="tabular output format")
-    common.add_argument("--out", metavar="DIR", help="write files here instead of stdout")
-    common.add_argument("--fingers", type=int, choices=(2, 3, 4), help="switch state to analyze")
-    common.add_argument("--freq-start", type=float, metavar="GHZ", help="sweep start [GHz]")
-    common.add_argument("--freq-stop", type=float, metavar="GHZ", help="sweep stop [GHz]")
-    common.add_argument("--points", type=int, metavar="N", help="sweep sample count")
-    common.add_argument("-v", "--verbose", action="store_true", help="log informational events")
+    """The argument parser, built once per process: it depends on no input.
+
+    Options come in parent groups, and a subcommand gets only the groups
+    its handler reads.
+    """
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", metavar="PATH", help="config file overlaying the bundled profile")
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--format", choices=("csv", "json"), default="csv", help="tabular output format")
+    output.add_argument("--out", metavar="DIR", help="write files here instead of stdout")
+    output.add_argument("--fingers", type=int, choices=(2, 3, 4), help="switch state to analyze")
+    grid = argparse.ArgumentParser(add_help=False)
+    grid.add_argument("--freq-start", type=float, metavar="GHZ", help="sweep start [GHz]")
+    grid.add_argument("--freq-stop", type=float, metavar="GHZ", help="sweep stop [GHz]")
+    grid.add_argument("--points", type=int, metavar="N", help="sweep sample count")
+    leakage = argparse.ArgumentParser(add_help=False)
+    leakage.add_argument(
+        "--leakage",
+        type=float,
+        nargs="?",
+        const=DEFAULT_LEAKAGE_NP_PER_CELL,
+        default=None,
+        metavar="NP_PER_CELL",
+        help=f"per-cell leakage of the pattern ({DEFAULT_LEAKAGE_NP_PER_CELL} Np/cell when bare)",
+    )
 
     parser = argparse.ArgumentParser(
         prog="crlhkit",
@@ -328,23 +346,27 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("idc", parents=[common], help="extract the lumped capacitor model")
+    p = sub.add_parser("idc", parents=[config, output], help="extract the lumped capacitor model")
     p.set_defaults(handler=cmd_idc)
 
     cell = sub.add_parser("cell", help="unit-cell operations")
     cellsub = cell.add_subparsers(dest="cell_command", required=True)
     p = cellsub.add_parser(
-        "calibrate", parents=[common], help="balanced element values for one state"
+        "calibrate", parents=[config, output], help="balanced element values for one state"
     )
     p.set_defaults(handler=cmd_cell_calibrate)
 
-    p = sub.add_parser("dispersion", parents=[common], help="Bloch dispersion sweep")
+    p = sub.add_parser("dispersion", parents=[config, output, grid], help="Bloch dispersion sweep")
     p.set_defaults(handler=cmd_dispersion)
 
-    p = sub.add_parser("scan-angles", parents=[common], help="beam angle vs frequency")
+    p = sub.add_parser(
+        "scan-angles", parents=[config, output, grid], help="beam angle vs frequency"
+    )
     p.set_defaults(handler=cmd_scan_angles)
 
-    p = sub.add_parser("pattern", parents=[common], help="array-factor radiation pattern")
+    p = sub.add_parser(
+        "pattern", parents=[config, output, leakage], help="array-factor radiation pattern"
+    )
     p.add_argument(
         "--freq",
         type=float,
@@ -353,30 +375,19 @@ def _build_parser() -> argparse.ArgumentParser:
         help="pattern frequency [GHz], repeatable; defaults to the state's broadside",
     )
     p.add_argument(
-        "--leakage",
-        type=float,
-        nargs="?",
-        const=DEFAULT_LEAKAGE_NP_PER_CELL,
-        default=None,
-        metavar="NP_PER_CELL",
-        help=f"inject per-cell leakage (default {DEFAULT_LEAKAGE_NP_PER_CELL} Np/cell when bare)",
+        "--polar-data", action="store_true", help="emit theta_rad,magnitude_linear (csv only)"
     )
-    p.add_argument("--polar-data", action="store_true", help="emit theta_rad,magnitude_linear")
     p.set_defaults(handler=cmd_pattern)
 
-    p = sub.add_parser("sweep", parents=[common], help="full per-state reproduction datasets")
+    p = sub.add_parser(
+        "sweep", parents=[config, grid, leakage], help="full per-state reproduction datasets"
+    )
     p.add_argument(
-        "--leakage",
-        type=float,
-        nargs="?",
-        const=DEFAULT_LEAKAGE_NP_PER_CELL,
-        default=None,
-        metavar="NP_PER_CELL",
-        help="per-cell leakage for the broadside pattern",
+        "--out", metavar="DIR", help="write the files here (default the current directory)"
     )
     p.set_defaults(handler=cmd_sweep)
 
-    p = sub.add_parser("reproduce", parents=[common], help="run the consistency checks")
+    p = sub.add_parser("reproduce", parents=[config, grid], help="run the consistency checks")
     p.add_argument("--json", action="store_true", help="machine-readable results")
     p.set_defaults(handler=cmd_reproduce)
 
@@ -385,22 +396,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.verbose:
-        import logging
-
-        logging.basicConfig(
-            stream=sys.stderr, level=logging.INFO, format="%(levelname)s %(name)s: %(message)s"
-        )
     try:
         config = resolve_config(args.config)
-        if args.fingers is not None:
-            config = replace(config, fingers=args.fingers)
+        # the state and grid flags exist only on the subcommands that read them
         overrides = {}
-        if args.freq_start is not None:
+        if getattr(args, "fingers", None) is not None:
+            overrides["fingers"] = args.fingers
+        if getattr(args, "freq_start", None) is not None:
             overrides["f_start"] = args.freq_start * _GHZ
-        if args.freq_stop is not None:
+        if getattr(args, "freq_stop", None) is not None:
             overrides["f_stop"] = args.freq_stop * _GHZ
-        if args.points is not None:
+        if getattr(args, "points", None) is not None:
             overrides["n_points"] = args.points
         if overrides:
             config = replace(config, **overrides)

@@ -34,8 +34,6 @@ _FLOAT_KEYS = {
     "finger_length_mm",
     "finger_width_mm",
     "gap_mm",
-    "base_width_mm",
-    "cell_gap_mm",
     "target_2_ghz",
     "target_3_ghz",
     "target_4_ghz",
@@ -44,16 +42,6 @@ _FLOAT_KEYS = {
     "z_bloch_ohm",
     "z0_line_ohm",
     "sheet_resistance_ohm_per_sq",
-    # Feed-patch outline, recorded for completeness only; no closed-form
-    # model consumes these.
-    "patch_l1_mm",
-    "patch_l2_mm",
-    "patch_l3_mm",
-    "patch_l4_mm",
-    "patch_s1_mm",
-    "patch_s2_mm",
-    "patch_s3_mm",
-    "patch_s4_mm",
 }
 _INT_KEYS = {"n_cells", "fingers", "n_points"}
 _CHOICE_KEYS = {"series_combination": ("half", "full")}
@@ -223,14 +211,8 @@ def _to_run_config(values: dict) -> RunConfig:
             finger_length=need("finger_length_mm") * _MM,
             finger_width=need("finger_width_mm") * _MM,
             gap=need("gap_mm") * _MM,
-            base_width=values.get("base_width_mm") and values["base_width_mm"] * _MM,
         )
-        geom = CellGeometry(
-            period=need("period_mm") * _MM,
-            idc=idc,
-            cell_gap=need("cell_gap_mm") * _MM,
-            n_cells=need("n_cells"),
-        )
+        geom = CellGeometry(period=need("period_mm") * _MM, idc=idc, n_cells=need("n_cells"))
         return RunConfig(
             substrate=substrate,
             cell_geometry=geom,

@@ -51,41 +51,33 @@ class IdcGeometry:
     """One interdigital capacitor: finger count and planar dimensions [m].
 
     finger_width is the width W' of each finger, gap the spacing S between
-    adjacent fingers, finger_length their overlap l. base_width is the
-    feeding base strip width; it defaults to the finger width since typical
-    layouts share one strip width.
+    adjacent fingers, finger_length their overlap l.
     """
 
     n_fingers: int
     finger_length: float
     finger_width: float
     gap: float
-    base_width: float | None = None
 
     def __post_init__(self):
-        if self.base_width is None:
-            object.__setattr__(self, "base_width", self.finger_width)
         if self.n_fingers < 1:
             raise ValueError(f"n_fingers must be >= 1, got {self.n_fingers}")
-        for name in ("finger_length", "finger_width", "gap", "base_width"):
+        for name in ("finger_length", "finger_width", "gap"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
 class CellGeometry:
-    """Periodic section: period p [m], its capacitor, inter-cell gap, cell count."""
+    """Periodic section: period p [m], its capacitor, cell count."""
 
     period: float
     idc: IdcGeometry
-    cell_gap: float
     n_cells: int
 
     def __post_init__(self):
         if self.period <= 0.0:
             raise ValueError(f"period must be positive, got {self.period}")
-        if self.cell_gap < 0.0:
-            raise ValueError(f"cell_gap must be >= 0, got {self.cell_gap}")
         if self.n_cells < 1:
             raise ValueError(f"n_cells must be >= 1, got {self.n_cells}")
 
@@ -106,10 +98,5 @@ def default_idc(n_fingers: int = 4) -> IdcGeometry:
 
 
 def default_cell_geometry(n_fingers: int = 4) -> CellGeometry:
-    """Reference periodic section: 3.2 mm period, 0.1 mm cell gap, 8 cells."""
-    return CellGeometry(
-        period=3.2e-3,
-        idc=default_idc(n_fingers),
-        cell_gap=0.1e-3,
-        n_cells=8,
-    )
+    """Reference periodic section: 3.2 mm period, 8 cells."""
+    return CellGeometry(period=3.2e-3, idc=default_idc(n_fingers), n_cells=8)

@@ -115,20 +115,16 @@ def c_series_gap(g: IdcGeometry, sub: SubstrateSpec) -> float:
     return c_pf * 1e-12
 
 
-def c_series_approx(
-    g: IdcGeometry, sub: SubstrateSpec, reading: str = "length-only"
-) -> float:
+def c_series_approx(g: IdcGeometry, sub: SubstrateSpec) -> float:
     """Per-finger series capacitance estimate [F], needing N >= 3.
 
     The widely quoted form is C = (l/w)(er + 1)[(N - 3)A1 + A2] in pF with
     lengths in cm, but the leading l/w ratio makes it dimensionally odd and,
     for these finger dimensions, more than an order of magnitude above the
     gap formula. Reading the leading factor as the bare length l lands
-    within about 10% of it instead. Both readings are kept so the
-    discrepancy stays visible:
+    within about 10% of it instead, so this is the form computed:
 
-      'length-only' (default)  C = l (er + 1)[(N - 3)A1 + A2]
-      'as-written'             C = (l/w)(er + 1)[(N - 3)A1 + A2]
+      C = l (er + 1)[(N - 3)A1 + A2]
 
     Use c_series_gap for anything downstream.
     """
@@ -138,12 +134,7 @@ def c_series_approx(
             f"term (N - 3) is negative for N = {g.n_fingers}"
         )
     per_cm = (g.n_fingers - 3) * A1_PF_PER_CM + A2_PF_PER_CM
-    c_pf = to_cm(g.finger_length) * (sub.epsilon_r + 1.0) * per_cm
-    if reading == "as-written":
-        c_pf /= to_cm(g.base_width)
-    elif reading != "length-only":
-        raise ValueError(f"reading must be 'length-only' or 'as-written', got {reading!r}")
-    return c_pf * 1e-12
+    return to_cm(g.finger_length) * (sub.epsilon_r + 1.0) * per_cm * 1e-12
 
 
 def r_series(g: IdcGeometry, sheet_resistivity: float = 0.0) -> float:

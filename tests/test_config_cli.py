@@ -264,6 +264,39 @@ class TestConfigParsing:
         assert 0.0 < r_series[0]
         assert r_series[1] == pytest.approx(2.0 * r_series[0], rel=1e-8)
 
+    # each key with an overlay value and a command whose stdout it changes
+    KEY_MOVES = {
+        "epsilon_r": ("4.4", ["idc"]),
+        "h_mm": ("0.8", ["idc"]),  # through the microstrip z0 estimate
+        "period_mm": ("4.0", ["cell", "calibrate"]),
+        "finger_length_mm": ("1.0", ["idc"]),
+        "finger_width_mm": ("0.3", ["idc"]),
+        "gap_mm": ("0.3", ["idc"]),
+        "n_cells": ("16", ["pattern"]),
+        "fingers": ("3", ["idc"]),
+        "target_2_ghz": ("10.5", ["cell", "calibrate", "--fingers", "2"]),
+        "target_3_ghz": ("9.6", ["cell", "calibrate", "--fingers", "3"]),
+        "target_4_ghz": ("9.2", ["cell", "calibrate"]),
+        "freq_start_ghz": ("8.0", ["dispersion"]),
+        "freq_stop_ghz": ("11.0", ["dispersion"]),
+        "n_points": ("101", ["dispersion"]),
+        "z_bloch_ohm": ("75", ["cell", "calibrate"]),
+        "z0_line_ohm": ("75", ["idc"]),
+        "sheet_resistance_ohm_per_sq": ("0.02", ["idc"]),
+        "series_combination": ("full", ["cell", "calibrate"]),
+    }
+
+    def test_key_table_covers_every_key(self):
+        assert set(self.KEY_MOVES) == KNOWN_KEYS
+
+    @pytest.mark.parametrize("key", sorted(KEY_MOVES))
+    def test_every_key_moves_an_output(self, tmp_path, capsys, key):
+        value, argv = self.KEY_MOVES[key]
+        assert main(argv) == 0
+        bundled = capsys.readouterr().out
+        assert main([*argv, "--config", write_cfg(tmp_path, f"{key} = {value}\n")]) == 0
+        assert capsys.readouterr().out != bundled
+
     def test_idc_geometry_refingering(self):
         cfg = load_profile("paper-default")
         assert cfg.idc_geometry().n_fingers == 4
@@ -400,6 +433,34 @@ class TestCliCommands:
         first = lines[2].split(",")
         assert float(first[0]) == pytest.approx(-1.5707963, rel=1e-6)
         assert 0.0 < float(first[1]) <= 1.0
+
+    def test_pattern_polar_data_is_csv_only(self, capsys):
+        assert main(["pattern", "--polar-data", "--format", "json"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["reproduce", "--format", "json"],
+            ["reproduce", "--out", "d"],
+            ["reproduce", "--fingers", "3"],
+            ["sweep", "--fingers", "3"],
+            ["sweep", "--format", "json"],
+            ["idc", "--points", "5"],
+            ["cell", "calibrate", "--freq-start", "9"],
+            ["pattern", "--points", "3"],
+            ["dispersion", "-v"],
+        ],
+        ids=" ".join,
+    )
+    def test_option_a_command_does_not_read_is_rejected(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
 
     def test_sweep_outputs_and_summary(self, tmp_path, capsys):
         out = tmp_path / "sweep"

@@ -35,23 +35,12 @@ def test_idc_validation():
         IdcGeometry(n_fingers=4, finger_length=1e-3, finger_width=1e-4, gap=0.0)
 
 
-def test_base_width_defaults_to_finger_width():
-    g = IdcGeometry(n_fingers=4, finger_length=1e-3, finger_width=4e-4, gap=4e-4)
-    assert g.base_width == g.finger_width
-    g2 = IdcGeometry(
-        n_fingers=4, finger_length=1e-3, finger_width=4e-4, gap=4e-4, base_width=2e-4
-    )
-    assert g2.base_width == 2e-4
-
-
 def test_cell_geometry_validation():
     idc = default_idc()
     with pytest.raises(ValueError):
-        CellGeometry(period=0.0, idc=idc, cell_gap=1e-4, n_cells=8)
+        CellGeometry(period=0.0, idc=idc, n_cells=8)
     with pytest.raises(ValueError):
-        CellGeometry(period=3.2e-3, idc=idc, cell_gap=-1e-4, n_cells=8)
-    with pytest.raises(ValueError):
-        CellGeometry(period=3.2e-3, idc=idc, cell_gap=1e-4, n_cells=0)
+        CellGeometry(period=3.2e-3, idc=idc, n_cells=0)
 
 
 def test_reference_defaults():

@@ -152,25 +152,15 @@ class TestApproxCapacitance:
     def test_readings_at_four_fingers(self):
         g = default_idc(4)
         assert c_series_approx(g, SUB) == pytest.approx(7.80192e-14, rel=1e-9)
-        assert c_series_approx(g, SUB, reading="as-written") == pytest.approx(
-            1.95048e-12, rel=1e-9
-        )
 
     def test_three_fingers_keeps_only_edge_term(self):
         g = default_idc(3)
         # (N - 3) = 0 leaves the 0.1 pF/cm edge coefficient alone
         assert c_series_approx(g, SUB) == pytest.approx(4.128e-14, rel=1e-9)
-        assert c_series_approx(g, SUB, reading="as-written") == pytest.approx(
-            1.032e-12, rel=1e-9
-        )
 
     def test_rejects_too_few_fingers(self):
         with pytest.raises(ValueError, match="N - 3"):
             c_series_approx(default_idc(2), SUB)
-
-    def test_rejects_unknown_reading(self):
-        with pytest.raises(ValueError):
-            c_series_approx(default_idc(4), SUB, reading="both")
 
     def test_disagrees_with_gap_formula(self):
         # the discrepancy the two readings document: neither lands on the
