@@ -16,13 +16,10 @@ _EXPORTS = {
         "REGIONS",
         "DispersionSweep",
         "Region",
-        "TwoPortAbcd",
         "bloch_gamma",
         "dispersion_sweep",
-        "scan_angle",
         "scan_profile",
         "transition_frequency",
-        "unit_cell_abcd",
     ),
     "cell": (
         "CrlhUnitCell",
@@ -32,20 +29,11 @@ _EXPORTS = {
         "is_balanced",
         "resonances",
     ),
-    "config": ("RunConfig", "load_profile", "resolve_config"),
-    "errors": ("BracketError", "ConfigError", "CrlhError", "PoleError", "SlowWaveError"),
-    "geometry": (
-        "CellGeometry",
-        "IdcGeometry",
-        "SubstrateSpec",
-        "default_cell_geometry",
-        "default_idc",
-        "default_substrate",
-    ),
+    "config": ("RunConfig", "resolve_config"),
+    "errors": ("BracketError", "ConfigError", "CrlhError", "PoleError"),
+    "geometry": ("CellGeometry", "IdcGeometry", "SubstrateSpec", "default_idc", "default_substrate"),
     "idc": (
-        "EllipticModulus",
         "IdcLumpedModel",
-        "c_series_approx",
         "c_series_gap",
         "elliptic_ratio",
         "extract",
@@ -58,6 +46,11 @@ _EXPORTS = {
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __version__ = "0.1.0"
+
+# Read by the CLI parser. They live here, not in `config` and `geometry`,
+# so that `crlhkit --version` and `--help` import neither module.
+PROFILE_ENV_VAR = "CRLH_PROFILE"  # names the bundled profile to start from
+DEFAULT_LEAKAGE_NP_PER_CELL = 0.05  # per-cell leakage when --leakage is given bare
 
 __all__ = [*sorted(_MODULE_OF), "__version__"]
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cell import CrlhUnitCell
-from .errors import BracketError, PoleError, SlowWaveError
+from .errors import BracketError, PoleError
 from .geometry import C0, MAX_N_POINTS
 
 DEFAULT_F_START = 7.5e9
@@ -41,22 +41,11 @@ _DEGENERATE_SINH = 1e-12
 _EDGE_TOL = 1e-9
 # Phase-pinning tolerance for stop-band classification.
 _BAND_EDGE_PIN = 1e-6
-# Brent root-solve defaults, as in scipy.optimize.brentq.
+# Brent root-solve tolerances: 1 kHz absolute on the transition root, and
+# the relative default of scipy.optimize.brentq.
+_BRENT_XTOL = 1e3
 _BRENT_RTOL = 4.0 * sys.float_info.epsilon
 _BRENT_MAXITER = 100
-
-
-@dataclass(frozen=True)
-class TwoPortAbcd:
-    """Chain (ABCD) matrix of a two-port: a, d dimensionless, b in ohm, c in S."""
-
-    a: complex
-    b: complex
-    c: complex
-    d: complex
-
-    def as_matrix(self) -> np.ndarray:
-        return np.array([[self.a, self.b], [self.c, self.d]], dtype=complex)
 
 
 class Region(enum.Enum):
@@ -134,14 +123,6 @@ def _chain(cell: CrlhUnitCell, f: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
     if bad.any():
         raise PoleError(float(f[bad.argmax()]), "chain-matrix entries overflow")
     return a, b, y
-
-
-def unit_cell_abcd(cell: CrlhUnitCell, f: float) -> TwoPortAbcd:
-    """Chain matrix of one cell at frequency f (see _chain)."""
-    with np.errstate(all="ignore"):
-        entries = _chain(cell, np.array([f], dtype=float))
-    a, b, c = (complex(v[0]) for v in entries)
-    return TwoPortAbcd(a=a, b=b, c=c, d=a)
 
 
 def _gamma(a: np.ndarray, b: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray]:
@@ -292,9 +273,8 @@ def _brentq(f, xpre, xcur, fpre, fcur, xtol, maxiter=_BRENT_MAXITER):
 def transition_frequency(
     cell: CrlhUnitCell,
     bracket: tuple[float, float] = (DEFAULT_F_START, DEFAULT_F_STOP),
-    xtol: float = 1e3,
 ) -> float:
-    """Frequency where beta crosses zero, bracketed to 1 kHz by default.
+    """Frequency where beta crosses zero, bracketed to 1 kHz.
 
     The bracket endpoints must straddle the sign change; Brent iteration
     (bracketing, derivative-free, with inverse-quadratic and secant steps)
@@ -318,28 +298,7 @@ def transition_frequency(
             f"beta does not change sign over [{f_lo:.9g}, {f_hi:.9g}] Hz "
             f"(beta = {b_lo:.6g} and {b_hi:.6g} rad/m)"
         )
-    return float(_brentq(beta_of, f_lo, f_hi, b_lo, b_hi, xtol))
-
-
-def scan_angle(beta: float, f: float) -> float:
-    """Main-beam direction from the phase constant: asin(beta/k0) [deg].
-
-    Negative angles are the backward quadrant. A slow wave (|beta| > k0)
-    is guided, radiates no beam, and raises SlowWaveError. Raises
-    ValueError for a frequency that is not positive and finite or a beta
-    that is not finite.
-    """
-    if not 0.0 < f < math.inf:
-        raise ValueError(f"frequency must be positive and finite, got {f}")
-    if not math.isfinite(beta):
-        raise ValueError(f"beta must be finite, got {beta}")
-    k0 = _k0(f)
-    if abs(beta) > k0:
-        raise SlowWaveError(
-            f"|beta| = {abs(beta):.6g} rad/m exceeds k0 = {k0:.6g} rad/m at "
-            f"{f:.6g} Hz: guided slow wave, no radiation angle"
-        )
-    return float(_scan_deg(beta, k0))
+    return float(_brentq(beta_of, f_lo, f_hi, b_lo, b_hi, _BRENT_XTOL))
 
 
 def scan_profile(

@@ -64,12 +64,10 @@ def resonances(cell: CrlhUnitCell) -> ResonancePair:
     )
 
 
-def is_balanced(cell: CrlhUnitCell, rel_tol: float = DEFAULT_BALANCE_TOL) -> bool:
-    """True when the series and shunt resonances coincide within rel_tol."""
-    if rel_tol <= 0.0:
-        raise ValueError(f"rel_tol must be positive, got {rel_tol}")
+def is_balanced(cell: CrlhUnitCell) -> bool:
+    """True when the series and shunt resonances coincide within DEFAULT_BALANCE_TOL."""
     pair = resonances(cell)
-    return abs(pair.omega_se - pair.omega_sh) <= rel_tol * pair.omega_se
+    return abs(pair.omega_se - pair.omega_sh) <= DEFAULT_BALANCE_TOL * pair.omega_se
 
 
 def calibrate_balanced(

@@ -5,30 +5,26 @@ reproduce. Options go after the subcommand, and each subcommand takes only
 the options it reads. Numbers are serialized with 9 significant digits so
 identical configs give byte-identical output on any platform.
 
-Importing this module loads no numpy: each command imports the modules it
-runs, so `--version`, `idc` and `cell calibrate` start without it.
+Importing this module loads only what the parser needs: each command
+imports the modules it runs, so `--version` loads none of the config, cell
+or numpy modules, and `idc` and `cell calibrate` start without numpy.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import os
 import sys
-from dataclasses import replace
 from typing import TYPE_CHECKING
 
-from . import __version__
-from .cell import is_balanced, resonances
-from .config import PROFILE_ENV_VAR, RunConfig, resolve_config
+from . import DEFAULT_LEAKAGE_NP_PER_CELL, PROFILE_ENV_VAR, __version__
 from .errors import BracketError, CrlhError
-from .geometry import DEFAULT_LEAKAGE_NP_PER_CELL
-from .idc import extract, modulus_from_geometry
 
 if TYPE_CHECKING:
     from .bloch import DispersionSweep
+    from .config import RunConfig
 
 _GHZ = 1e9
 
@@ -58,6 +54,8 @@ def _jsonify(obj):
 
 
 def _dumps(obj) -> str:
+    import json
+
     return json.dumps(_jsonify(obj), indent=2, sort_keys=True)
 
 
@@ -102,17 +100,18 @@ def _sweep(cell, config: RunConfig) -> DispersionSweep:
 
 
 def cmd_idc(config: RunConfig, args) -> int:
+    from .idc import extract, modulus_from_geometry
+
     g = config.idc_geometry()
     model = extract(
         g, config.substrate, sheet_resistivity=config.sheet_resistance, z0=config.z0_line
     )
-    mod = modulus_from_geometry(g)
     doc = {
         "n_fingers": g.n_fingers,
         "finger_length_m": g.finger_length,
         "finger_width_m": g.finger_width,
         "gap_m": g.gap,
-        "modulus_k": mod.k,
+        "modulus_k": modulus_from_geometry(g),
         "c_series_F": model.c_series,
         "c_shunt_F": model.c_shunt,
         "l_series_H": model.l_series,
@@ -129,6 +128,8 @@ def cmd_idc(config: RunConfig, args) -> int:
 
 
 def cmd_cell_calibrate(config: RunConfig, args) -> int:
+    from .cell import is_balanced, resonances
+
     cell = config.cell()
     pair = resonances(cell)
     doc = {
@@ -202,6 +203,16 @@ def cmd_pattern(config: RunConfig, args) -> int:
         if args.freq
         else [config.targets[config.fingers]]
     )
+    names = [f"pattern_{config.fingers}f_{f / _GHZ:.6g}GHz.csv" for f in freqs]
+    if args.out is not None and args.format == "csv":
+        repeated = [name for i, name in enumerate(names) if name in names[:i]]
+        if repeated:
+            print(
+                f"error: two --freq values would both write {repeated[0]}; "
+                "they must differ within 6 significant digits",
+                file=sys.stderr,
+            )
+            return 1
     n_cells = config.cell_geometry.n_cells
     pats = pattern_for_frequency(
         cell, np.array(freqs), n_cells, leakage_np_per_cell=args.leakage
@@ -224,7 +235,7 @@ def cmd_pattern(config: RunConfig, args) -> int:
         }
         _write_text(_dumps(doc), args.out, f"pattern_{config.fingers}f.json")
         return 0
-    for f, db in zip(freqs, pats.magnitude_db.tolist()):
+    for f, name, db in zip(freqs, names, pats.magnitude_db.tolist()):
         if args.polar_data:
             header = ["theta_rad", "magnitude_linear"]
             rows = [
@@ -233,7 +244,6 @@ def cmd_pattern(config: RunConfig, args) -> int:
         else:
             header = ["theta_deg", "magnitude_db"]
             rows = [[fmt(t), fmt(m)] for t, m in zip(theta, db)]
-        name = f"pattern_{config.fingers}f_{f / _GHZ:.6g}GHz.csv"
         if args.out is None:
             sys.stdout.write(f"# f_Hz = {fmt(f)}\n")
         _write_text(_csv_text(header, rows), args.out, name)
@@ -396,6 +406,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    from dataclasses import replace
+
+    from .config import resolve_config
+
     try:
         config = resolve_config(args.config)
         # the state and grid flags exist only on the subcommands that read them
@@ -414,6 +428,16 @@ def main(argv=None) -> int:
     except (CrlhError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+
+
+def __getattr__(name: str):
+    # crlhkit.cli.resolve_config, which perfbench's worker calls, resolves on
+    # first access, so importing the CLI does not load the config module
+    if name == "resolve_config":
+        from .config import resolve_config
+
+        return resolve_config
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 if __name__ == "__main__":

@@ -17,11 +17,11 @@ import os
 from dataclasses import dataclass, replace
 from importlib import resources
 
+from . import PROFILE_ENV_VAR
 from .cell import CrlhUnitCell, cell_for_state
 from .errors import ConfigError
 from .geometry import MAX_N_POINTS, CellGeometry, IdcGeometry, SubstrateSpec
 
-PROFILE_ENV_VAR = "CRLH_PROFILE"
 DEFAULT_PROFILE = "paper-default"
 
 _GHZ = 1e9
@@ -229,11 +229,6 @@ def _to_run_config(values: dict) -> RunConfig:
     except ValueError as exc:
         # geometry validation failures surface as config problems
         raise ConfigError(str(exc)) from None
-
-
-def load_profile(name: str) -> RunConfig:
-    """Bundled profile as a ready RunConfig."""
-    return _to_run_config(load_profile_values(name))
 
 
 def resolve_config(path: str | None = None, env: dict | None = None) -> RunConfig:

@@ -9,10 +9,6 @@ class ConfigError(CrlhError):
     """Bad, missing, or inconsistent run configuration."""
 
 
-class SlowWaveError(CrlhError, ValueError):
-    """A guided sample (|beta| > k0) was asked for a radiation quantity."""
-
-
 class BracketError(CrlhError):
     """A root bracket has no sign change, or its solve does not converge."""
 

@@ -1,17 +1,15 @@
 """Physical constants, geometric descriptions of the antenna stack, and
-the numeric limits and defaults that the configuration and CLI check
-against before any numpy module loads.
+the grid limit that the configuration checks before any numpy module loads.
 
-Every dimension is stored in SI units (meters). The closed-form capacitor
-formulas want mixed units (cm for the per-finger estimate, um for the gap
-formula); conversion happens at each formula boundary, never in storage.
+Every dimension is stored in SI units (meters). The gap-capacitance formula
+wants micrometers; conversion happens at that formula boundary, never in
+storage.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-M_PER_CM = 1e-2
 M_PER_UM = 1e-6
 
 C0 = 299_792_458.0  # speed of light [m/s]
@@ -20,12 +18,6 @@ C0 = 299_792_458.0  # speed of light [m/s]
 # returns seven columns of this length, so the cap bounds its memory by the
 # input rather than by the machine.
 MAX_N_POINTS = 1_000_000
-# Per-cell leakage of the array factor when --leakage is given bare.
-DEFAULT_LEAKAGE_NP_PER_CELL = 0.05
-
-
-def to_cm(meters: float) -> float:
-    return meters / M_PER_CM
 
 
 def to_um(meters: float) -> float:
@@ -95,8 +87,3 @@ def default_idc(n_fingers: int = 4) -> IdcGeometry:
         finger_width=0.4e-3,
         gap=0.4e-3,
     )
-
-
-def default_cell_geometry(n_fingers: int = 4) -> CellGeometry:
-    """Reference periodic section: 3.2 mm period, 8 cells."""
-    return CellGeometry(period=3.2e-3, idc=default_idc(n_fingers), n_cells=8)

@@ -11,26 +11,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .geometry import C0, IdcGeometry, SubstrateSpec, to_cm, to_um
-
-# Empirical per-finger capacitance slopes of the printed estimate [pF/cm].
-A1_PF_PER_CM = 0.089
-A2_PF_PER_CM = 0.1
+from .geometry import C0, IdcGeometry, SubstrateSpec, to_um
 
 # Handoff point of the two logarithmic approximations, nominally 1/sqrt(2).
 _K_BRANCH_SPLIT = 0.707
-
-
-@dataclass(frozen=True)
-class EllipticModulus:
-    """Conformal-mapping modulus of the finger cross-section.
-
-    k = tan^2(a pi / 4b) with a the half finger width and b the half pitch
-    (finger width plus gap, halved); k_prime is its complement.
-    """
-
-    k: float
-    k_prime: float
 
 
 @dataclass(frozen=True)
@@ -85,27 +69,25 @@ def elliptic_ratio_quadrature(k: float) -> float:
     return _agm(1.0, k) / _agm(1.0, math.sqrt(1.0 - k * k))
 
 
-def modulus_from_geometry(g: IdcGeometry) -> EllipticModulus:
-    """Map finger width W' and gap S to the elliptic modulus.
+def modulus_from_geometry(g: IdcGeometry) -> float:
+    """Elliptic modulus k = tan^2(a pi / 4b) of the finger cross-section.
 
-    a = W'/2 and b = (W' + S)/2, so k depends only on the width-to-pitch
-    ratio: equal width and gap always give k = tan^2(pi/8) regardless of
-    scale.
+    a = W'/2 is the half finger width and b = (W' + S)/2 the half pitch,
+    with S the gap, so k depends only on the width-to-pitch ratio: equal
+    width and gap always give k = tan^2(pi/8) regardless of scale.
     """
     a = g.finger_width / 2.0
     b = (g.finger_width + g.gap) / 2.0
-    k = math.tan(a * math.pi / (4.0 * b)) ** 2
-    return EllipticModulus(k=k, k_prime=math.sqrt(1.0 - k * k))
+    return math.tan(a * math.pi / (4.0 * b)) ** 2
 
 
 def c_series_gap(g: IdcGeometry, sub: SubstrateSpec) -> float:
     """Series gap capacitance of the finger array [F].
 
     Conformal-mapping form: C = 1e-3 er / (18 pi) * K/K' * (N - 1) * l,
-    with the finger length in micrometers giving picofarads. This is the
-    authoritative series capacitance; c_series_approx is a cross-check.
+    with the finger length in micrometers giving picofarads.
     """
-    ratio = elliptic_ratio(modulus_from_geometry(g).k)
+    ratio = elliptic_ratio(modulus_from_geometry(g))
     c_pf = (
         1e-3 * sub.epsilon_r / (18.0 * math.pi)
         * ratio
@@ -113,28 +95,6 @@ def c_series_gap(g: IdcGeometry, sub: SubstrateSpec) -> float:
         * to_um(g.finger_length)
     )
     return c_pf * 1e-12
-
-
-def c_series_approx(g: IdcGeometry, sub: SubstrateSpec) -> float:
-    """Per-finger series capacitance estimate [F], needing N >= 3.
-
-    The widely quoted form is C = (l/w)(er + 1)[(N - 3)A1 + A2] in pF with
-    lengths in cm, but the leading l/w ratio makes it dimensionally odd and,
-    for these finger dimensions, more than an order of magnitude above the
-    gap formula. Reading the leading factor as the bare length l lands
-    within about 10% of it instead, so this is the form computed:
-
-      C = l (er + 1)[(N - 3)A1 + A2]
-
-    Use c_series_gap for anything downstream.
-    """
-    if g.n_fingers < 3:
-        raise ValueError(
-            "c_series_approx needs at least 3 fingers: the interior-finger "
-            f"term (N - 3) is negative for N = {g.n_fingers}"
-        )
-    per_cm = (g.n_fingers - 3) * A1_PF_PER_CM + A2_PF_PER_CM
-    return to_cm(g.finger_length) * (sub.epsilon_r + 1.0) * per_cm * 1e-12
 
 
 def r_series(g: IdcGeometry, sheet_resistivity: float = 0.0) -> float:

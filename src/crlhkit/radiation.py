@@ -15,7 +15,7 @@ import numpy as np
 
 from .bloch import bloch_gamma
 from .cell import CrlhUnitCell
-from .geometry import C0, DEFAULT_LEAKAGE_NP_PER_CELL  # noqa: F401  (re-exported)
+from .geometry import C0
 
 DEFAULT_THETA_STEP_DEG = 0.25
 
@@ -27,12 +27,10 @@ _NULL_FLOOR = 1e-15
 _BLOCK = 4
 
 
-def default_theta_grid(step_deg: float = DEFAULT_THETA_STEP_DEG) -> np.ndarray:
-    """Symmetric angle grid over [-90, +90] degrees, inclusive."""
-    if step_deg <= 0.0:
-        raise ValueError(f"step must be positive, got {step_deg}")
-    n = round(180.0 / step_deg)
-    return np.linspace(-90.0, 90.0, n + 1)
+def default_theta_grid() -> np.ndarray:
+    """Symmetric angle grid over [-90, +90] degrees, inclusive, in steps of
+    DEFAULT_THETA_STEP_DEG."""
+    return np.linspace(-90.0, 90.0, round(180.0 / DEFAULT_THETA_STEP_DEG) + 1)
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,8 @@ region thresholds) are written out here a second time on purpose.
 import cmath
 import math
 
+import numpy as np
+
 from crlhkit.bloch import Region
 from crlhkit.geometry import C0
 
@@ -18,18 +20,25 @@ EDGE_TOL = 1e-9
 BAND_EDGE_PIN = 1e-6
 
 
-def chain_entries(cell, f: float) -> tuple[complex, complex]:
-    """(a, b) of the symmetric-T chain matrix: a = 1 + zy/2, b = z + z^2 y/4."""
+def chain_entries(cell, f: float) -> tuple[complex, complex, complex]:
+    """(a, b, c) of the symmetric-T chain matrix: a = d = 1 + zy/2,
+    b = z + z^2 y/4, c = y."""
     w = 2.0 * math.pi * f
     z = complex(cell.r_series, w * cell.l_r - 1.0 / (w * cell.c_l))
     y = complex(0.0, w * cell.c_r - 1.0 / (w * cell.l_l))
     zh = 0.5 * z
-    return 1.0 + zh * y, z + zh * zh * y
+    return 1.0 + zh * y, z + zh * zh * y, y
+
+
+def chain_matrix(cell, f: float) -> np.ndarray:
+    """The 2 x 2 chain matrix [[a, b], [c, a]] of one cell at f."""
+    a, b, c = chain_entries(cell, f)
+    return np.array([[a, b], [c, a]])
 
 
 def bloch_gamma(cell, f: float) -> tuple[float, float]:
     """(beta, alpha) from cosh(gamma p) = a on the forward-power branch."""
-    a, b = chain_entries(cell, f)
+    a, b, _ = chain_entries(cell, f)
     p = cell.period
     gp = cmath.acosh(a)
     s = cmath.sinh(gp)

@@ -1,11 +1,11 @@
 import pytest
 
-from crlhkit import load_profile
+from crlhkit import resolve_config
 
 
 @pytest.fixture(scope="session")
 def config():
-    return load_profile("paper-default")
+    return resolve_config(env={})
 
 
 @pytest.fixture(scope="session")

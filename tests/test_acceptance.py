@@ -13,16 +13,15 @@ import numpy as np
 import pytest
 from scipy.special import ellipk
 
+import bloch_oracle
 from crlhkit import selfcheck
 from crlhkit.bloch import (
     REGIONS,
     Region,
     bloch_gamma,
     dispersion_sweep,
-    scan_angle,
     scan_profile,
     transition_frequency,
-    unit_cell_abcd,
 )
 from crlhkit.cell import CrlhUnitCell
 from crlhkit.geometry import IdcGeometry, SubstrateSpec
@@ -118,9 +117,9 @@ def test_criterion_5_scan_angle_consistency(config, cells):
     ok = True
     for cell in cells.values():
         s = sweep(cell, config)
-        for f, beta in zip(s.f[s.leaky].tolist(), s.beta[s.leaky].tolist()):
+        for f, angle in zip(s.f[s.leaky].tolist(), s.scan_deg[s.leaky].tolist()):
             pat = pattern_for_frequency(cell, f, N_CELLS)
-            miss = abs(pat.main_beam_deg - scan_angle(beta, f))
+            miss = abs(pat.main_beam_deg - angle)
             half = pat.beamwidth_3db_deg / 2.0
             ok = ok and miss <= half
             worst = max(worst, miss / half)
@@ -165,10 +164,10 @@ def test_criterion_7_bloch_oracle_equivalence(config, cells):
     worst = 0.0
     for cell in cells.values():
         for f in rng.uniform(config.f_start, config.f_stop, 20):
-            m = unit_cell_abcd(cell, float(f))
+            m = bloch_oracle.chain_matrix(cell, float(f))
             beta, alpha = bloch_gamma(cell, float(f))
             gp = complex(alpha, beta) * cell.period
-            m8 = np.linalg.matrix_power(m.as_matrix(), 8)
+            m8 = np.linalg.matrix_power(m, 8)
             trace = complex(m8[0, 0] + m8[1, 1])
             expected = 2.0 * cmath.cosh(8.0 * gp)
             worst = max(worst, abs(trace - expected) / max(1.0, abs(expected)))

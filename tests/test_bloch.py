@@ -16,17 +16,17 @@ from crlhkit.bloch import (
     REGIONS,
     Region,
     _brentq,
+    _chain,
+    _scan_deg,
     bloch_gamma,
     classify,
     dispersion_sweep,
-    scan_angle,
     scan_profile,
     transition_frequency,
-    unit_cell_abcd,
 )
 from crlhkit.cell import calibrate_balanced, resonances
 from crlhkit.cli import fmt
-from crlhkit.errors import BracketError, PoleError, SlowWaveError
+from crlhkit.errors import BracketError, PoleError
 from crlhkit.geometry import C0
 
 
@@ -47,28 +47,43 @@ def region_runs(sweep):
     return runs
 
 
+def branch_cascade(cell, f: float) -> np.ndarray:
+    """Half series branch, shunt branch, half series branch, multiplied out."""
+    w = 2.0 * math.pi * f
+    zh = 0.5 * complex(cell.r_series, w * cell.l_r - 1.0 / (w * cell.c_l))
+    y = complex(0.0, w * cell.c_r - 1.0 / (w * cell.l_l))
+    series = np.array([[1.0, zh], [0.0, 1.0]], dtype=complex)
+    shunt = np.array([[1.0, 0.0], [y, 1.0]], dtype=complex)
+    return series @ shunt @ series
+
+
 class TestAbcd:
+    """The kernel's chain entries (a = d, b, c) of one cell."""
+
     def test_symmetric_cell_has_equal_corners(self, cells):
-        # a and d share one expression, so equality is bit-exact
+        # the kernel returns one a for both corners; the branch cascade
+        # must agree that they are equal
+        f = np.array([8.0e9, 9.3e9, 11.5e9])
         for cell in cells.values():
-            for f in (8.0e9, 9.3e9, 11.5e9):
-                m = unit_cell_abcd(cell, f)
-                assert m.a == m.d
+            a, b, c = _chain(cell, f)
+            for i, fi in enumerate(f.tolist()):
+                m = branch_cascade(cell, fi)
+                assert m[0, 0] == pytest.approx(m[1, 1], rel=1e-12, abs=1e-12)
+                assert [a[i], b[i], c[i]] == pytest.approx([m[0, 0], m[0, 1], m[1, 0]], rel=1e-12)
 
     def test_reciprocity(self, cells):
         for cell in cells.values():
-            for f in np.linspace(7.6e9, 11.9e9, 7):
-                m = unit_cell_abcd(cell, float(f))
-                assert abs(m.a * m.d - m.b * m.c - 1.0) < 1e-10
+            a, b, c = _chain(cell, np.linspace(7.6e9, 11.9e9, 7))
+            assert (np.abs(a * a - b * c - 1.0) < 1e-10).all()
 
     def test_rejects_nonpositive_frequency(self, cells):
         for f in (0.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="positive and finite"):
-                unit_cell_abcd(cells[4], f)
+                bloch_gamma(cells[4], f)
 
     def test_overflowing_frequency_is_a_pole_error(self, cells):
         with pytest.raises(PoleError) as err:
-            unit_cell_abcd(cells[4], 1e308)
+            bloch_gamma(cells[4], 1e308)
         assert err.value.frequency == 1e308
 
 
@@ -270,10 +285,10 @@ class TestDispersionSweep:
 
     def test_trace_identity_spot(self, cells):
         cell = cells[3]
-        m = unit_cell_abcd(cell, 8.9e9)
+        m = bloch_oracle.chain_matrix(cell, 8.9e9)
         beta, alpha = bloch_gamma(cell, 8.9e9)
         gp = complex(alpha, beta) * cell.period
-        m8 = np.linalg.matrix_power(m.as_matrix(), 8)
+        m8 = np.linalg.matrix_power(m, 8)
         assert complex(m8[0, 0] + m8[1, 1]) == pytest.approx(
             2.0 * cmath.cosh(8.0 * gp), rel=1e-10
         )
@@ -342,44 +357,42 @@ class TestTransition:
 
 
 class TestScanAngle:
+    """asin(beta/k0) in degrees, the kernel behind DispersionSweep.scan_deg."""
+
     def test_broadside(self):
-        assert scan_angle(0.0, 9.3e9) == 0.0
+        assert _scan_deg(0.0, k0_of(9.3e9)) == 0.0
 
     def test_endfire(self):
-        f = 9.3e9
-        assert scan_angle(k0_of(f), f) == pytest.approx(90.0)
+        k0 = k0_of(9.3e9)
+        assert _scan_deg(k0, k0) == pytest.approx(90.0)
 
     def test_backfire_example(self):
-        f = 10.0e9
-        beta = -k0_of(f) * math.sin(math.radians(55.0))
-        assert scan_angle(beta, f) == pytest.approx(-55.0, rel=1e-12)
+        k0 = k0_of(10.0e9)
+        beta = -k0 * math.sin(math.radians(55.0))
+        assert _scan_deg(beta, k0) == pytest.approx(-55.0, rel=1e-12)
 
-    def test_slow_wave_rejected(self):
-        f = 9.3e9
-        with pytest.raises(SlowWaveError):
-            scan_angle(1.01 * k0_of(f), f)
+    def test_slow_wave_rejected(self, cells):
+        # a guided slow wave radiates no beam: the sweep gives it no angle
+        sweep = dispersion_sweep(cells[4])
+        slow = sweep.region == REGIONS.index(Region.GUIDED_SLOW_WAVE)
+        assert slow.any()
+        assert np.isnan(sweep.scan_deg[~sweep.leaky]).all()
+        assert not np.isnan(sweep.scan_deg[sweep.leaky]).any()
 
-    def test_nonpositive_frequency_rejected(self):
-        cases = [
-            (0.0, 0.0, "positive and finite"),
-            (0.0, -1e9, "positive and finite"),
-            (0.0, math.nan, "positive and finite"),
-            (1.0, math.inf, "positive and finite"),
-            (math.nan, 1e9, "beta must be finite"),
-            (math.inf, 1e9, "beta must be finite"),
-            (-math.inf, 1e9, "beta must be finite"),
-        ]
-        for beta, f, message in cases:
-            with pytest.raises(ValueError, match=message):
-                scan_angle(beta, f)
+    def test_nonpositive_frequency_rejected(self, cells):
+        # scan angles come only from a sweep, which takes no such grid
+        for f_start, f_stop in ((0.0, 9e9), (-1e9, 9e9), (math.nan, 9e9), (8e9, math.nan)):
+            with pytest.raises(ValueError):
+                dispersion_sweep(cells[4], f_start, f_stop)
 
     @given(
         st.floats(min_value=0.0, max_value=1.0),
         st.floats(min_value=1e9, max_value=2e10),
     )
     def test_odd_symmetry_is_exact(self, frac, f):
-        beta = frac * k0_of(f)
-        assert scan_angle(-beta, f) == -scan_angle(beta, f)
+        k0 = k0_of(f)
+        beta = frac * k0
+        assert _scan_deg(-beta, k0) == -_scan_deg(beta, k0)
 
 
 class TestScanProfile:

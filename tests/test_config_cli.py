@@ -20,7 +20,6 @@ from crlhkit.config import (
     _INT_KEYS,
     KNOWN_KEYS,
     RunConfig,
-    load_profile,
     parse_config_text,
     resolve_config,
 )
@@ -61,7 +60,7 @@ def write_cfg(tmp_path, text):
 
 class TestConfigParsing:
     def test_bundled_profile_values(self):
-        cfg = load_profile("paper-default")
+        cfg = resolve_config(env={})
         assert cfg.substrate.epsilon_r == 3.8
         assert cfg.cell_geometry.period == pytest.approx(3.2e-3)
         assert cfg.cell_geometry.n_cells == 8
@@ -74,7 +73,7 @@ class TestConfigParsing:
 
     def test_unknown_profile(self):
         with pytest.raises(ConfigError, match="paper-default"):
-            load_profile("nope")
+            resolve_config(env={"CRLH_PROFILE": "nope"})
 
     def test_unknown_key_names_file_and_line(self):
         with pytest.raises(ConfigError, match=r"x\.cfg:2: unknown key 'typo_key'"):
@@ -180,7 +179,7 @@ class TestConfigParsing:
             resolve_config(path)
 
     def test_run_config_validation(self):
-        base = load_profile("paper-default")
+        base = resolve_config(env={})
         with pytest.raises(ConfigError, match="freq_start"):
             RunConfig(
                 substrate=base.substrate,
@@ -221,7 +220,7 @@ class TestConfigParsing:
         assert main(["dispersion", "--freq-start", "nan"]) == 1
         assert "freq_start must be finite" in capsys.readouterr().err
         with pytest.raises(ConfigError, match="freq_stop must be finite"):
-            replace(load_profile("paper-default"), f_stop=float("inf"))
+            replace(resolve_config(env={}), f_stop=float("inf"))
 
     def test_n_points_cap_in_config_file_names_file_and_line(self, tmp_path, capsys):
         path = write_cfg(tmp_path, f"fingers = 4\nn_points = {MAX_N_POINTS + 1}\n")
@@ -238,10 +237,10 @@ class TestConfigParsing:
         assert f"n_points must be within 2..{MAX_N_POINTS}, got {MAX_N_POINTS + 1}" in captured.err
         assert captured.out == ""
         with pytest.raises(ConfigError, match="n_points"):
-            replace(load_profile("paper-default"), n_points=1)
+            replace(resolve_config(env={}), n_points=1)
 
     def test_run_config_builds_each_state_cell(self):
-        cfg = load_profile("paper-default")
+        cfg = resolve_config(env={})
         assert cfg.cell() == cfg.cell(cfg.fingers)
         for n, f0 in cfg.targets.items():
             omega_se = resonances(cfg.cell(n)).omega_se
@@ -251,7 +250,7 @@ class TestConfigParsing:
 
     def test_loss_keys_feed_only_the_idc_report(self, tmp_path, capsys):
         # the dispersion cell is lossless whatever the two keys say
-        base = load_profile("paper-default")
+        base = resolve_config(env={})
         r_series = []
         for sheet in (1.0, 2.0):
             path = write_cfg(
@@ -298,7 +297,7 @@ class TestConfigParsing:
         assert capsys.readouterr().out != bundled
 
     def test_idc_geometry_refingering(self):
-        cfg = load_profile("paper-default")
+        cfg = resolve_config(env={})
         assert cfg.idc_geometry().n_fingers == 4
         assert cfg.idc_geometry(2).n_fingers == 2
         assert cfg.idc_geometry(2).finger_length == cfg.cell_geometry.idc.finger_length
@@ -372,7 +371,7 @@ class TestCliCommands:
 
     @pytest.mark.parametrize("n_points", [451, 15001])
     def test_dispersion_json_matches_the_dict_encoder(self, capsys, n_points):
-        config = load_profile("paper-default")
+        config = resolve_config(env={})
         for n in (2, 3, 4):
             argv = ["dispersion", "--format", "json", "--fingers", str(n)]
             assert main([*argv, "--points", str(n_points)]) == 0
@@ -423,6 +422,18 @@ class TestCliCommands:
         assert header == "theta_deg,magnitude_db"
         summary = json.loads((out / "pattern_4f_summary.json").read_text())
         assert [round(s["f_Hz"] / 1e9, 3) for s in summary] == [9.0, 9.6]
+
+    def test_pattern_files_with_one_name_are_refused(self, tmp_path, capsys):
+        out = tmp_path / "pat"
+        argv = ["pattern", "--freq", "9.0000001", "--freq", "9.0000002", "--out", str(out)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: two --freq values would both write pattern_4f_9GHz.csv; "
+            "they must differ within 6 significant digits\n"
+        )
+        assert not out.exists()
 
     def test_pattern_polar_data(self, capsys):
         assert main(["pattern", "--polar-data", "--freq", "9.3"]) == 0
@@ -585,7 +596,7 @@ class TestCliCommands:
         assert "8/8 checks passed" in capsys.readouterr().out
         assert len(calls["transition"]) == 3
         # batched pattern calls over each state's leaky samples, a slice at a time
-        config = load_profile("paper-default")
+        config = resolve_config(env={})
         leaky = []
         for n in (2, 3, 4):
             s = dispersion_sweep(config.cell(n), config.f_start, config.f_stop, config.n_points)
@@ -633,8 +644,17 @@ class TestCliCommands:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout
         modules = imported_modules(proc.stderr)
-        assert "crlhkit.config" in modules
+        if argv != ["--version"]:
+            assert "crlhkit.config" in modules
         assert not {m for m in modules if m.split(".")[0] == "numpy"}
+
+    def test_version_loads_only_what_it_prints(self):
+        bare = run_python("-X", "importtime", "-c", "pass")
+        proc = run_python("-X", "importtime", "-m", "crlhkit.cli", "--version")
+        assert bare.returncode == 0 and proc.returncode == 0, proc.stderr
+        extra = imported_modules(proc.stderr) - imported_modules(bare.stderr)
+        unwanted = {"crlhkit.config", "crlhkit.cell", "crlhkit.idc", "dataclasses", "json"}
+        assert not extra & unwanted
 
     def test_dispersion_runs_in_a_child_process(self, capsys):
         proc = run_python("-X", "importtime", "-m", "crlhkit.cli", "dispersion", "--points", "7")

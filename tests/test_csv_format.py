@@ -17,11 +17,11 @@ from crlhkit import table
 from crlhkit.bloch import dispersion_sweep
 from crlhkit.cli import fmt
 from crlhkit.table import _DISPERSION_HEADER, _csv_rows, _dispersion_columns, _dispersion_csv
-from crlhkit.config import load_profile
+from crlhkit.config import resolve_config
 from perturb import CELL_SCALES, R_SERIES, perturbed
 
 DISPERSION_ROW = "%.8e,%.8e,%.8e,%.8e,%.8e,%s,%s\n"
-CONFIG = load_profile("paper-default")
+CONFIG = resolve_config(env={})
 
 
 def oracle_csv(sweep, period):

@@ -6,16 +6,13 @@ from crlhkit.geometry import (
     CellGeometry,
     IdcGeometry,
     SubstrateSpec,
-    default_cell_geometry,
     default_idc,
     default_substrate,
-    to_cm,
     to_um,
 )
 
 
 def test_unit_scale_factors():
-    assert to_cm(1.0) == 100.0
     assert to_um(1e-6) == 1.0
 
 
@@ -51,9 +48,6 @@ def test_reference_defaults():
     assert g.n_fingers == 4
     assert g.finger_length == pytest.approx(0.86e-3)
     assert g.finger_width == g.gap == pytest.approx(0.4e-3)
-    geom = default_cell_geometry()
-    assert geom.period == pytest.approx(3.2e-3)
-    assert geom.n_cells == 8
 
 
 def test_geometry_is_immutable():

@@ -8,7 +8,6 @@ from scipy.special import ellipk
 
 from crlhkit.geometry import IdcGeometry, default_idc, default_substrate
 from crlhkit.idc import (
-    c_series_approx,
     c_series_gap,
     effective_permittivity,
     elliptic_ratio,
@@ -105,20 +104,16 @@ class TestEllipticRatio:
 
 class TestModulus:
     def test_reference_dimensions(self):
-        m = modulus_from_geometry(default_idc())
-        assert m.k == pytest.approx(K_DEFAULT, rel=1e-12)
-        assert m.k_prime == pytest.approx(math.sqrt(1.0 - m.k * m.k), rel=1e-12)
+        assert modulus_from_geometry(default_idc()) == pytest.approx(K_DEFAULT, rel=1e-12)
 
     def test_scale_invariance_when_width_equals_gap(self):
         g1 = IdcGeometry(n_fingers=4, finger_length=1e-3, finger_width=1e-4, gap=1e-4)
         g2 = IdcGeometry(n_fingers=4, finger_length=1e-3, finger_width=7e-4, gap=7e-4)
-        assert modulus_from_geometry(g1).k == pytest.approx(
-            modulus_from_geometry(g2).k, rel=1e-12
-        )
+        assert modulus_from_geometry(g1) == pytest.approx(modulus_from_geometry(g2), rel=1e-12)
 
     def test_wide_gap_limit(self):
         g = IdcGeometry(n_fingers=4, finger_length=1e-3, finger_width=1e-4, gap=1.0)
-        assert modulus_from_geometry(g).k < 1e-6
+        assert modulus_from_geometry(g) < 1e-6
 
 
 class TestSeriesCapacitance:
@@ -146,28 +141,6 @@ class TestSeriesCapacitance:
         g1 = IdcGeometry(n_fingers=4, finger_length=l, finger_width=4e-4, gap=4e-4)
         g2 = IdcGeometry(n_fingers=4, finger_length=2.0 * l, finger_width=4e-4, gap=4e-4)
         assert c_series_gap(g2, SUB) == 2.0 * c_series_gap(g1, SUB)
-
-
-class TestApproxCapacitance:
-    def test_readings_at_four_fingers(self):
-        g = default_idc(4)
-        assert c_series_approx(g, SUB) == pytest.approx(7.80192e-14, rel=1e-9)
-
-    def test_three_fingers_keeps_only_edge_term(self):
-        g = default_idc(3)
-        # (N - 3) = 0 leaves the 0.1 pF/cm edge coefficient alone
-        assert c_series_approx(g, SUB) == pytest.approx(4.128e-14, rel=1e-9)
-
-    def test_rejects_too_few_fingers(self):
-        with pytest.raises(ValueError, match="N - 3"):
-            c_series_approx(default_idc(2), SUB)
-
-    def test_disagrees_with_gap_formula(self):
-        # the discrepancy the two readings document: neither lands on the
-        # conformal-mapping value for the reference dimensions
-        gap = c_series_gap(default_idc(4), SUB)
-        approx = c_series_approx(default_idc(4), SUB)
-        assert abs(approx - gap) / gap > 0.05
 
 
 class TestSeriesResistance:

@@ -179,7 +179,7 @@ class TestMirroredSteering:
         [
             default_theta_grid(),
             np.linspace(-89.5, 89.5, 180),  # symmetric, even length, no broadside row
-            default_theta_grid(0.1),  # its linspace is not bit-symmetric
+            np.linspace(-90.0, 90.0, 1801),  # 0.1 degree steps: not bit-symmetric
             np.linspace(10.0, 60.0, 41),  # one-sided: no mirror rows
             np.array([-60.0, -45.0, -30.0, -0.0, 1e-320, 30.0, 60.0, 89.0]),
         ],
