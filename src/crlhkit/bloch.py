@@ -197,10 +197,13 @@ def dispersion_sweep(
     """Classified dispersion samples on a uniform frequency grid, as columns.
 
     The kernel runs over blocks of _SWEEP_BLOCK frequencies. Raises
-    ValueError for an empty or reversed band or for n_points outside
-    2..MAX_N_POINTS, and PoleError at the first grid frequency whose chain
-    matrix overflows.
+    ValueError for a non-finite, empty or reversed band or for n_points
+    outside 2..MAX_N_POINTS, and PoleError at the first grid frequency
+    whose chain matrix overflows.
     """
+    for name, edge in (("f_start", f_start), ("f_stop", f_stop)):
+        if not math.isfinite(edge):
+            raise ValueError(f"{name} must be finite, got {edge}")
     if not 0.0 < f_start < f_stop:
         raise ValueError(f"need 0 < f_start < f_stop, got ({f_start}, {f_stop})")
     if not 2 <= n_points <= MAX_N_POINTS:

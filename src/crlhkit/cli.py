@@ -13,6 +13,7 @@ or numpy modules, and `idc` and `cell calibrate` start without numpy.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import math
 import os
@@ -73,11 +74,20 @@ def _write_chunks(chunks, out_dir: str | None, filename: str) -> None:
         for chunk in chunks:
             sys.stdout.write(chunk)
         return
+    _write_files(chunks, out_dir, [filename])
+
+
+def _write_files(chunks, out_dir: str, filenames: list[str]) -> None:
+    """Text chunks written to files under out_dir in turn: chunk i goes to
+    filenames[i % len(filenames)]."""
     os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, filename)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.writelines(chunks)
-    print(path)
+    paths = [os.path.join(out_dir, name) for name in filenames]
+    with contextlib.ExitStack() as stack:
+        files = [stack.enter_context(open(p, "w", encoding="utf-8", newline="")) for p in paths]
+        for i, chunk in enumerate(chunks):
+            files[i % len(files)].write(chunk)
+    for path in paths:
+        print(path)
 
 
 def _csv_text(header: list[str], rows: list[list[str]]) -> str:
@@ -254,7 +264,7 @@ def cmd_pattern(config: RunConfig, args) -> int:
 def cmd_sweep(config: RunConfig, args) -> int:
     from .bloch import transition_frequency
     from .radiation import pattern_for_frequency
-    from .table import _dispersion_csv
+    from .table import _dispersion_csvs
 
     out_dir = args.out if args.out is not None else "."
     # every state is solved before the first file is written, so a state
@@ -272,10 +282,15 @@ def cmd_sweep(config: RunConfig, args) -> int:
             cell, f0, config.cell_geometry.n_cells, leakage_np_per_cell=args.leakage
         )
         solved[n] = cell, f0, sweep, pat
+    csv_names = {n: f"dispersion_{n}f.csv" for n in solved}
+    # the states share one grid, so their CSVs are written chunk by chunk in turn
+    _write_files(
+        _dispersion_csvs([(sweep, cell.period) for cell, _, sweep, _ in solved.values()]),
+        out_dir,
+        list(csv_names.values()),
+    )
     states = {}
     for n, (cell, f0, sweep, pat) in solved.items():
-        csv_name = f"dispersion_{n}f.csv"
-        _write_chunks(_dispersion_csv(sweep, cell.period), out_dir, csv_name)
         angles = sweep.scan_deg[sweep.leaky]
         states[str(n)] = {
             "transition_Hz": f0,
@@ -284,7 +299,7 @@ def cmd_sweep(config: RunConfig, args) -> int:
             "scan_max_deg": float(angles.max()) if angles.size else None,
             "broadside_beam_deg": pat.main_beam_deg,
             "broadside_beamwidth_3db_deg": pat.beamwidth_3db_deg,
-            "dispersion_csv": csv_name,
+            "dispersion_csv": csv_names[n],
         }
     summary = {
         "f_start_Hz": config.f_start,

@@ -8,6 +8,7 @@ are array-factor dominated, so no element pattern is applied.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -110,6 +111,20 @@ def _mirror_rows(sin_theta: np.ndarray, phase_step: np.ndarray):
     return _as_slice(own), _as_slice(mirror), _as_slice(order[at[mirror]])
 
 
+@functools.cache
+def _default_grid():
+    """theta and sin theta of the default grid, read-only, with the mirror
+    split _mirror_rows gives it for a phase step that keeps every nonzero
+    row's phase nonzero, and the smallest |sin theta| of a mirror row."""
+    theta = default_theta_grid()
+    sin_theta = np.sin(np.radians(theta))
+    split = _mirror_rows(sin_theta, np.ones(1))
+    for a in (theta, sin_theta, *split):
+        if isinstance(a, np.ndarray):
+            a.flags.writeable = False
+    return theta, sin_theta, split, float(-sin_theta[split[1]].max())
+
+
 def array_factor(
     gamma: complex | np.ndarray,
     p: float,
@@ -137,11 +152,15 @@ def array_factor(
         raise ValueError(f"frequency must be positive, got {freqs[freqs <= 0.0].flat[0]}")
     if p <= 0.0:
         raise ValueError(f"period must be positive, got {p}")
-    theta = default_theta_grid() if theta_grid is None else np.asarray(theta_grid, dtype=float)
-    if theta.ndim != 1 or len(theta) < 2 or not np.all(np.diff(theta) > 0.0):
-        raise ValueError("theta grid must be a strictly increasing 1-D array")
-    if not np.isfinite(theta).all():
-        raise ValueError("theta grid must be finite")
+    if theta_grid is None:
+        theta, sin_theta, split, least_sin = _default_grid()
+    else:
+        theta = np.asarray(theta_grid, dtype=float)
+        if theta.ndim != 1 or len(theta) < 2 or not np.all(np.diff(theta) > 0.0):
+            raise ValueError("theta grid must be a strictly increasing 1-D array")
+        if not np.isfinite(theta).all():
+            raise ValueError("theta grid must be finite")
+        sin_theta = np.sin(np.radians(theta))
 
     with np.errstate(over="ignore"):
         k0 = 2.0 * math.pi * freqs.reshape(-1) / C0
@@ -149,13 +168,16 @@ def array_factor(
     if not np.isfinite(phase_step).all():
         raise ValueError(f"k0 p must be finite, got {phase_step.max()} at period {p}")
     excitation = np.exp(-np.arange(n_cells) * gammas.reshape(-1, 1) * p)
-    sin_theta = np.sin(np.radians(theta))
     # Steering entry exp(j n k0 p sin theta) of angle row theta and cell n.
     # Own rows take one complex exp per n >= 1, mirror rows the conjugate
     # of their source row, and n = 0 is 1. The exp argument is the one the
     # complex product (j k0 p sin theta) n gives: real part zero, imaginary
     # part (k0 p sin theta + 0.0) n, so every entry keeps its bits.
-    own, mirror, source = _mirror_rows(sin_theta, phase_step)
+    # the default grid's split holds while no mirror row's phase step rounds to zero
+    if theta_grid is None and phase_step.min() * least_sin > 0.0:
+        own, mirror, source = split
+    else:
+        own, mirror, source = _mirror_rows(sin_theta, phase_step)
     sin_own = sin_theta[own]
     n = np.arange(1, n_cells)
     # the F x theta x n_cells steering tensor, _BLOCK frequencies at a time

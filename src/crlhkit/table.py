@@ -1,9 +1,10 @@
 """The dispersion table as CSV and JSON text, formatted in numpy.
 
 Every number is written as '%.8e' writes it; the CSV digits are computed
-column-wise in numpy, the JSON rows follow the layout of
-json.dumps(indent=2, sort_keys=True). The CLI imports this module only for
-the commands that write a dispersion table.
+column-wise in numpy and laid down four at a time from word tables, the
+JSON rows follow the layout of json.dumps(indent=2, sort_keys=True). The
+CLI imports this module only for the commands that write a dispersion
+table.
 """
 
 from __future__ import annotations
@@ -51,23 +52,80 @@ def _dispersion_columns(sweep: DispersionSweep, period: float, rows=slice(None))
     ]
 
 
-_CSV_CHUNK_ROWS = 4096
-# A dispersion CSV row is built as a fixed-width byte row: five %.8e
-# fields with their commas, the region name with its comma, the scan angle
-# and the newline. A %.8e field has _FIELD slots (sign, digit, point, 8
-# digits, "e", exponent sign, 3 exponent digits, separator). Slots a row
-# does not use (a plus sign, a third exponent digit, the rest of a short
-# region name, a missing angle) hold NUL, which is deleted at the end.
-_FIELD = 17
-_E8 = b"\x000.00000000e+000"
-_REGION_SLOTS = max(map(len, _REGION_NAMES)) + 1
-_REGION_BYTES = np.array(
-    [list(f"{name},".ljust(_REGION_SLOTS, "\0").encode("ascii")) for name in _REGION_NAMES],
-    dtype=np.uint8,
-)
-_ROW_TEMPLATE = np.frombuffer(
-    (_E8 + b",") * 5 + bytes(_REGION_SLOTS) + _E8 + b"\n", dtype=np.uint8
-)
+# Rows per CSV chunk. A chunk's buffers grow with it: at 4096 rows glibc
+# malloc returned them to the system between chunks, so a 15,001-point
+# `sweep --out` took about 2,600 more page faults and a higher peak RSS
+# than at 2048.
+_CSV_CHUNK_ROWS = 2048
+# A dispersion CSV chunk is built in 32-bit words, each filled by one
+# np.take from a word table. A %.8e field and its separator take five
+# words: [sign, d0, ".", NUL], [d1-d4], [d5-d8], ["e", exponent sign, e2,
+# e1] and [e0, separator, NUL, NUL]; the region name with its comma takes
+# the words of _REGION_WORDS. Slots a row does not use (a plus sign, a third
+# exponent digit, the rest of a short region name, a missing angle) hold
+# NUL, which is deleted at the end. The chunk buffer is word-major, (word,
+# field, row), so that every take writes one contiguous run, and its fields
+# come in _BUFFER_FIELDS order: the grid columns f and k0 first, so that
+# sweeps on one grid share their words, then each sweep's own numbers up
+# to the scan angle, whose field ends the row.
+_FIELD_WORDS = 5
+_BUFFER_FIELDS = [
+    "f_Hz",
+    "k0_rad_per_m",
+    "beta_rad_per_m",
+    "alpha_Np_per_m",
+    "beta_p_over_pi",
+    "scan_angle_deg",
+    "region",
+]
+_GRID_FIELDS = 2
+_ANGLE = _BUFFER_FIELDS.index("scan_angle_deg")
+_CSV_ORDER = [_BUFFER_FIELDS.index(name) for name in _DISPERSION_HEADER]
+# Decimal exponents of '%.8e' over the finite doubles: 4.94065646e-324 to
+# 1.79769313e+308.
+_MIN_EXP, _MAX_EXP = -324, 308
+
+
+def _words(chars) -> np.ndarray:
+    """Rows of byte values as native uint32 words: a word written into the
+    chunk buffer lays down its four bytes in order."""
+    return np.ascontiguousarray(chars, dtype=np.uint8).view(np.uint32)
+
+
+def _word_tables():
+    """The %.8e word tables: _HEAD by 10 sign + d0, _QUAD by a 4-digit
+    group, and _EXP, _EXP_END (a comma follows) and _ROW_END (a newline
+    follows) by exponent - _MIN_EXP."""
+    digits = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+    head = np.zeros((2, 10, 4), dtype=np.uint8)
+    head[1, :, 0] = ord("-")
+    head[..., 1] = digits
+    head[..., 2] = ord(".")
+    quad = np.empty((10, 10, 10, 10, 4), dtype=np.uint8)
+    quad[..., 0] = digits[:, None, None, None]
+    quad[..., 1] = digits[:, None, None]
+    quad[..., 2] = digits[:, None]
+    quad[..., 3] = digits
+    e = np.arange(_MIN_EXP, _MAX_EXP + 1)
+    a = np.abs(e)
+    exp = np.zeros((len(e), 4), dtype=np.uint8)
+    exp[:, 0] = ord("e")
+    exp[:, 1] = np.where(e < 0, ord("-"), ord("+"))
+    exp[:, 2] = np.where(a < 100, 0, a // 100 + ord("0"))
+    exp[:, 3] = a // 10 % 10 + ord("0")
+    ends = np.zeros((2, len(e), 4), dtype=np.uint8)
+    ends[..., 0] = a % 10 + ord("0")
+    ends[..., 1] = [[ord(",")], [ord("\n")]]
+    return [_words(t.reshape(-1, 4))[:, 0] for t in (head, quad, exp, *ends)]
+
+
+_HEAD, _QUAD, _EXP, _EXP_END, _ROW_END = _word_tables()
+# _REGION_WORDS[:, code] is the name of REGIONS[code] and its comma
+_REGION_WORDS = _words(
+    [list(f"{name},".ljust(4 * _FIELD_WORDS, "\0").encode("ascii")) for name in _REGION_NAMES]
+).T.copy()
+# the scan-angle field of a row off the leaky band: the newline alone
+_NO_ANGLE = _words([[0] * 4 * (_FIELD_WORDS - 1) + [0, ord("\n"), 0, 0]])[0]
 # Correctly rounded powers of ten: _POW10[k] is 10**k.
 _POW10 = np.array([float(f"1e{k}") for k in range(309)])
 # Values with a larger decimal exponent, subnormals and near-ties are
@@ -120,51 +178,84 @@ def _e8_parts(x: np.ndarray):
     return np.signbit(x), m.astype(np.uint32), e
 
 
-def _put_e8(dst: np.ndarray, neg, m, e) -> None:
-    """Write the %.8e fields of _e8_parts into (..., _FIELD) byte slots that
-    hold the _E8 template."""
-    dst[..., 0] = np.where(neg, ord("-"), 0)
-    for slot in (10, 9, 8, 7, 6, 5, 4, 3, 1):
-        q = m // 10
-        dst[..., slot] = m - q * 10 + 48
-        m = q
-    e = e.astype(np.int16)
-    dst[..., 12] = np.where(e < 0, ord("-"), ord("+"))
-    e = np.abs(e)
-    dst[..., 13] = np.where(e < 100, 0, e // 100 + 48)
-    dst[..., 14] = e // 10 % 10 + 48
-    dst[..., 15] = e % 10 + 48
-
-
-def _csv_rows(values: np.ndarray, region: np.ndarray, leaky: np.ndarray) -> str:
-    """CSV rows from an n x 6 array (five numeric columns, then the scan
-    angle, written only on leaky rows) and the region codes."""
-    n = len(values)
-    out = np.empty((n, _ROW_TEMPLATE.size), dtype=np.uint8)
-    out[:] = _ROW_TEMPLATE
+def _put_e8(dst: np.ndarray, values: np.ndarray) -> None:
+    """Write the rows of values as %.8e fields into the word-major dst:
+    dst[w, i] holds word w of the fields of values[i]. Every field ends in
+    a comma but those of the last row, which end the CSV row."""
     neg, m, e = _e8_parts(values)
-    head = slice(0, 5 * _FIELD)
-    fields = out[:, head].reshape(n, 5, _FIELD)  # a view: only the contiguous last axis splits
-    _put_e8(fields, neg[:, :5], m[:, :5], e[:, :5])
-    names = slice(head.stop, head.stop + _REGION_SLOTS)
-    out[:, names] = _REGION_BYTES[region]
-    angle = slice(names.stop, None)
-    _put_e8(out[:, angle], neg[:, 5], m[:, 5], e[:, 5])
-    out[~leaky, angle.start : -1] = 0
-    return out.tobytes().translate(None, b"\0").decode("ascii")
+    d0 = m // 100_000_000
+    low = m - d0 * 100_000_000
+    d1 = low // 10_000
+    # the indices are in range by construction, and "clip" takes no
+    # bounds-checked copy of the output
+    np.take(_HEAD, d0 + 10 * neg, out=dst[0], mode="clip")
+    np.take(_QUAD, d1, out=dst[1], mode="clip")
+    np.take(_QUAD, low - d1 * 10_000, out=dst[2], mode="clip")
+    e -= _MIN_EXP
+    np.take(_EXP, e, out=dst[3], mode="clip")
+    np.take(_EXP_END, e[:-1], out=dst[4, :-1], mode="clip")
+    np.take(_ROW_END, e[-1], out=dst[4, -1], mode="clip")
+
+
+def _csv_rows(values: np.ndarray, region: np.ndarray, leaky: np.ndarray, grid=None):
+    """CSV rows and the f and k0 words they were built from.
+
+    values holds the numeric columns in _BUFFER_FIELDS order as rows: all
+    six, or, when grid (the words an earlier call returned for the same f
+    and k0) is given, the four after f and k0. The scan angle is written on
+    leaky rows only; region holds the region codes.
+    """
+    n = values.shape[1]
+    buf = np.empty((_FIELD_WORDS, len(_BUFFER_FIELDS), n), dtype=np.uint32)
+    if grid is not None:
+        buf[:, :_GRID_FIELDS] = grid
+    _put_e8(buf[:, _ANGLE + 1 - len(values) : _ANGLE + 1], values)
+    np.copyto(buf[:, _ANGLE], _NO_ANGLE[:, None], where=~leaky)
+    buf[:, -1] = _REGION_WORDS[:, region]
+    rows = np.empty((n, len(_CSV_ORDER), _FIELD_WORDS), dtype=np.uint32)
+    for j, field in enumerate(_CSV_ORDER):
+        rows[:, j] = buf[:, field].T
+    grid = buf[:, :_GRID_FIELDS].copy()
+    del buf  # freed before the row bytes are copied out
+    return rows.tobytes().translate(None, b"\0").decode("ascii"), grid
+
+
+def _dispersion_csvs(tables):
+    """The dispersion tables of (sweep, period) pairs as CSV text, in
+    lockstep: each table's header, then each table's chunk of the first
+    _CSV_CHUNK_ROWS rows, of the next _CSV_CHUNK_ROWS rows, and so on. A
+    table with fewer rows gives empty chunks. Every number is written as
+    '%.8e' writes it, no scan angle off the leaky band. When every sweep
+    has the same f and k0, those columns are formatted once per chunk."""
+    sweeps = [sweep for sweep, _ in tables]
+    shared = all(
+        np.array_equal(s.f, sweeps[0].f) and np.array_equal(s.k0, sweeps[0].k0) for s in sweeps
+    )
+    for _ in tables:
+        yield ",".join(_DISPERSION_HEADER) + "\n"
+    for lo in range(0, max(len(s.f) for s in sweeps), _CSV_CHUNK_ROWS):
+        rows = slice(lo, lo + _CSV_CHUNK_ROWS)
+        grid = None
+        for sweep, period in tables:
+            leaky = sweep.leaky[rows]
+            own = [
+                sweep.beta[rows],
+                sweep.alpha[rows],
+                sweep.beta[rows] * period / math.pi,
+                np.where(leaky, sweep.scan_deg[rows], 0.0),  # NaN off the band, blanked
+            ]
+            if grid is None:
+                own = [sweep.f[rows], sweep.k0[rows], *own]
+            text, words = _csv_rows(np.stack(own), sweep.region[rows], leaky, grid)
+            if shared:
+                grid = words
+            yield text
 
 
 def _dispersion_csv(sweep: DispersionSweep, period: float):
-    """The dispersion table as CSV text, header first, then chunks of
-    _CSV_CHUNK_ROWS rows: every number as '%.8e' writes it, no scan angle off
-    the leaky band."""
-    yield ",".join(_DISPERSION_HEADER) + "\n"
-    numbers = (sweep.f, sweep.beta, sweep.alpha, sweep.k0, sweep.beta * period / math.pi)
-    angles = np.where(sweep.leaky, sweep.scan_deg, 0.0)  # NaN off the band, blanked
-    for lo in range(0, len(sweep.f), _CSV_CHUNK_ROWS):
-        rows = slice(lo, lo + _CSV_CHUNK_ROWS)
-        values = np.stack([c[rows] for c in (*numbers, angles)], axis=1)
-        yield _csv_rows(values, sweep.region[rows], sweep.leaky[rows])
+    """The dispersion table of one sweep as CSV text, header first, then
+    chunks of _CSV_CHUNK_ROWS rows."""
+    return _dispersion_csvs([(sweep, period)])
 
 
 def _json_float(x: float) -> str:

@@ -385,6 +385,16 @@ class TestScanAngle:
             with pytest.raises(ValueError):
                 dispersion_sweep(cells[4], f_start, f_stop)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "f_start, f_stop, name",
+        [(8e9, math.inf, "f_stop"), (-math.inf, 9e9, "f_start"), (math.inf, math.inf, "f_start")],
+    )
+    def test_non_finite_band_edge_rejected_at_entry(self, cells, f_start, f_stop, name):
+        # rejected before np.linspace could warn about an infinite span
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            dispersion_sweep(cells[4], f_start, f_stop)
+
     @given(
         st.floats(min_value=0.0, max_value=1.0),
         st.floats(min_value=1e9, max_value=2e10),

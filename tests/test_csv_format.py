@@ -16,7 +16,13 @@ from hypothesis import strategies as st
 from crlhkit import table
 from crlhkit.bloch import dispersion_sweep
 from crlhkit.cli import fmt
-from crlhkit.table import _DISPERSION_HEADER, _csv_rows, _dispersion_columns, _dispersion_csv
+from crlhkit.table import (
+    _DISPERSION_HEADER,
+    _csv_rows,
+    _dispersion_columns,
+    _dispersion_csv,
+    _dispersion_csvs,
+)
 from crlhkit.config import resolve_config
 from perturb import CELL_SCALES, R_SERIES, perturbed
 
@@ -36,9 +42,12 @@ def e8_fields(values):
     six numeric fields (the sixth is the scan angle of a leaky row)."""
     values = np.asarray(values, dtype=np.float64)
     pad = -len(values) % 6
-    table = np.concatenate([values, np.zeros(pad)]).reshape(-1, 6)
-    n = len(table)
-    text = _csv_rows(table, np.zeros(n, dtype=np.int8), np.ones(n, dtype=bool))
+    rows = np.concatenate([values, np.zeros(pad)]).reshape(-1, 6)
+    n = len(rows)
+    # _csv_rows takes the columns as rows, f and k0 first: the fourth CSV
+    # column is k0
+    columns = rows.T[[0, 3, 1, 2, 4, 5]]
+    text, _ = _csv_rows(columns, np.zeros(n, dtype=np.int8), np.ones(n, dtype=bool))
     fields = [f for row in text.splitlines() for i, f in enumerate(row.split(",")) if i != 5]
     return fields[: len(values)]
 
@@ -132,10 +141,61 @@ class TestE8Formatter:
             e8_fields([1.0, bad])
 
 
+CHUNK = table._CSV_CHUNK_ROWS
+
+
+class TestWordTables:
+    """The word tables, read back as text, against '%' formatting."""
+
+    @staticmethod
+    def text(*tables) -> list[str]:
+        """The entries of word tables side by side, as the text they write
+        once their NULs are deleted."""
+        rows = np.stack(tables, axis=1).astype(np.uint32)
+        return [row.tobytes().replace(b"\0", b"").decode("ascii") for row in rows]
+
+    def test_every_four_digit_group(self):
+        assert self.text(table._QUAD) == ["%04d" % q for q in range(10_000)]
+
+    def test_every_sign_and_leading_digit(self):
+        assert self.text(table._HEAD) == [f"{sign}{d}." for sign in ("", "-") for d in range(10)]
+
+    def test_every_exponent(self):
+        # from the subnormal 4.94065646e-324 up, 3-digit exponents included
+        exponents = range(table._MIN_EXP, table._MAX_EXP + 1)
+        assert self.text(table._EXP, table._EXP_END) == ["e%+03d," % k for k in exponents]
+        assert self.text(table._EXP, table._ROW_END) == ["e%+03d\n" % k for k in exponents]
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_every_exponent_through_the_formatter(self, sign):
+        values = [sign * float(f"1.23456789e{k}") for k in range(-308, 309)]
+        values += [sign * float(f"4.5e{k}") for k in range(-324, -308)]  # subnormals
+        assert e8_fields(values) == expected(values)
+
+    def test_every_four_digit_group_through_the_formatter(self):
+        values = [float(f"{1 + q % 9}.{q:04d}{9999 - q:04d}e{q % 41 - 20}") for q in range(10_000)]
+        assert e8_fields(values) == expected(values)
+
+
+def sweeps_of(grids):
+    """A (sweep, period) pair per (state, f_start, f_stop, n_points)."""
+    pairs = []
+    for n, f_start, f_stop, n_points in grids:
+        cell = CONFIG.cell(n)
+        pairs.append((dispersion_sweep(cell, f_start, f_stop, n_points), cell.period))
+    return pairs
+
+
+def tables_in_turn(pairs) -> list[str]:
+    """The text of each table _dispersion_csvs writes, from its chunks in turn."""
+    chunks = list(_dispersion_csvs(pairs))
+    return ["".join(chunks[i :: len(pairs)]) for i in range(len(pairs))]
+
+
 class TestDispersionCsv:
     @pytest.mark.parametrize(
         "n_points",
-        [table._CSV_CHUNK_ROWS - 1, table._CSV_CHUNK_ROWS, table._CSV_CHUNK_ROWS + 1, 451, 15001],
+        [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK - 1, 2 * CHUNK, 2 * CHUNK + 1, 451, 15001],
     )
     def test_bytes_match_the_row_template(self, n_points):
         for n in (2, 3, 4):
@@ -163,3 +223,21 @@ class TestDispersionCsv:
         with mock.patch.object(table, "_CSV_CHUNK_ROWS", chunk_rows):
             text = "".join(_dispersion_csv(sweep, cell.period))
         assert text == oracle_csv(sweep, cell.period)
+
+    @pytest.mark.parametrize("n_points", [451, 2 * CHUNK + 3])
+    def test_sweeps_on_one_grid_match_the_row_template(self, n_points):
+        pairs = sweeps_of((n, CONFIG.f_start, CONFIG.f_stop, n_points) for n in (2, 3, 4))
+        with mock.patch.object(table, "_e8_parts", wraps=table._e8_parts) as parts:
+            texts = tables_in_turn(pairs)
+        assert texts == [oracle_csv(sweep, period) for sweep, period in pairs]
+        # f and k0 are formatted for the first table of each chunk only
+        fields = [len(c.args[0]) for c in parts.call_args_list]
+        assert fields == [6, 4, 4] * -(-n_points // CHUNK)
+
+    def test_sweeps_on_different_grids_match_the_row_template(self):
+        grids = [(4, CONFIG.f_start, CONFIG.f_stop, CHUNK + 5), (3, 8e9, 11e9, 2 * CHUNK + 7)]
+        pairs = sweeps_of(grids)
+        with mock.patch.object(table, "_e8_parts", wraps=table._e8_parts) as parts:
+            texts = tables_in_turn(pairs)
+        assert texts == [oracle_csv(sweep, period) for sweep, period in pairs]
+        assert {len(c.args[0]) for c in parts.call_args_list} == {6}

@@ -18,6 +18,13 @@ SWEEP_DIGESTS = {
     "dispersion_4f.csv": "52436ac3f20e21c7fdf444f6a86b0f9d186e81ba2e745c42d93f081af2e47f69",
     "sweep_summary.json": "00bf82bda7a84bcd49af0f400af9a90cf407b8b2a7df25fc836df7a99f831b4c",
 }
+# `sweep --points 15001`: each table spans several CSV chunks
+DENSE_SWEEP_DIGESTS = {
+    "dispersion_2f.csv": "38d3ce07634dc938030b7154c7377b2c99435b0855f9f94ae5186a81ba7deef7",
+    "dispersion_3f.csv": "be6aa8eff0c22e0b152e08d9704ad55ef69b99a02c974e4d5fcfa3194d3d5c7f",
+    "dispersion_4f.csv": "53d081649d8bf14014ff9a00de6341ba0ee1d6ce5230fc705d73d1b2739c8bf4",
+    "sweep_summary.json": "f2f38fb27c2580239b2381b418d8ca7a63a8278c14d03219ff091ecef75d194f",
+}
 REPRODUCE_JSON_DIGEST = "47bd231ee334c098364c57c766a8ce80cfa9087ad99a7ce9ad8ea5f475d3f032"
 # stdout of `pattern` in its three output forms
 PATTERN_DIGESTS = {
@@ -36,11 +43,17 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def sweep_digests(tmp_path, *flags) -> dict:
+    assert main(["sweep", "--out", str(tmp_path), *flags]) == 0
+    return {p.name: sha256(p.read_bytes()) for p in tmp_path.iterdir()}
+
+
 def test_sweep_files_are_pinned(tmp_path, capsys):
-    assert main(["sweep", "--out", str(tmp_path)]) == 0
-    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(SWEEP_DIGESTS)
-    digests = {name: sha256((tmp_path / name).read_bytes()) for name in SWEEP_DIGESTS}
-    assert digests == SWEEP_DIGESTS
+    assert sweep_digests(tmp_path) == SWEEP_DIGESTS
+
+
+def test_dense_sweep_files_are_pinned(tmp_path, capsys):
+    assert sweep_digests(tmp_path, "--points", "15001") == DENSE_SWEEP_DIGESTS
 
 
 def test_reproduce_json_is_pinned(capsys):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import radiation_oracle
 from crlhkit.bloch import bloch_gamma, dispersion_sweep
 from crlhkit.radiation import (
+    _default_grid,
     _mirror_rows,
     array_factor,
     default_theta_grid,
@@ -197,6 +198,34 @@ class TestMirroredSteering:
         assert rows[own].tolist() == list(range(360, 721))
         assert np.array_equal(sin_theta[mirror], -sin_theta[source])
         assert (sin_theta[mirror] < 0.0).all() and len(rows[mirror]) == 360
+
+    @pytest.mark.parametrize("phase_step", [1e-300, 0.03, 0.6, 40.0, 1e300])
+    def test_cached_default_split_equals_a_fresh_one(self, phase_step):
+        theta, sin_theta, split, least_sin = _default_grid()
+        assert np.array_equal(theta, default_theta_grid())
+        assert np.array_equal(sin_theta, np.sin(np.radians(default_theta_grid())))
+        assert phase_step * least_sin > 0.0
+        fresh = _mirror_rows(sin_theta, np.array([phase_step]))
+        rows = np.arange(len(theta))
+        for cached, row in zip(split, fresh):
+            assert np.array_equal(rows[cached], rows[row])
+
+    def test_cached_default_grid_is_read_only(self):
+        pat = array_factor(0.3j, P, 8, F0)
+        assert pat.theta_deg is _default_grid()[0]
+        with pytest.raises(ValueError, match="read-only"):
+            pat.theta_deg[0] = 0.0
+        assert not _default_grid()[1].flags.writeable
+
+    def test_default_grid_falls_back_when_a_mirror_phase_rounds_to_zero(self):
+        # at 1e-312 Hz, k0 p is ~7e-323 and k0 p sin(0.25 deg) rounds to
+        # zero, so the rows near broadside must not be mirrored
+        gamma, f = np.array([0.3j]), np.array([1e-312])
+        assert 2.0 * math.pi * f[0] / 299792458.0 * P * _default_grid()[3] == 0.0
+        default = array_factor(gamma, P, 8, f)
+        given_grid = array_factor(gamma, P, 8, f, default_theta_grid())
+        assert np.array_equal(default.magnitude_db, given_grid.magnitude_db)
+        assert_rows_match_one_at_a_time(default, gamma.tolist(), P, 8)
 
     def test_pair_whose_phase_rounds_to_zero_is_not_mirrored(self):
         # sin theta = +-5e-324: k0 p sin theta is zero at 5 GHz, and a zero
