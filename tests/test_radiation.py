@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import radiation_oracle
+from crlhkit import radiation
 from crlhkit.bloch import bloch_gamma, dispersion_sweep
 from crlhkit.radiation import (
     _default_grid,
@@ -219,13 +221,19 @@ class TestMirroredSteering:
 
     def test_default_grid_falls_back_when_a_mirror_phase_rounds_to_zero(self):
         # at 1e-312 Hz, k0 p is ~7e-323 and k0 p sin(0.25 deg) rounds to
-        # zero, so the rows near broadside must not be mirrored
+        # zero, so the rows near broadside must not be mirrored: the cached
+        # split does not hold, and the call works out its own
         gamma, f = np.array([0.3j]), np.array([1e-312])
-        assert 2.0 * math.pi * f[0] / 299792458.0 * P * _default_grid()[3] == 0.0
-        default = array_factor(gamma, P, 8, f)
-        given_grid = array_factor(gamma, P, 8, f, default_theta_grid())
-        assert np.array_equal(default.magnitude_db, given_grid.magnitude_db)
-        assert_rows_match_one_at_a_time(default, gamma.tolist(), P, 8)
+        phase_step = np.array([2.0 * math.pi * f[0] / 299792458.0 * P])
+        assert phase_step[0] * _default_grid()[3] == 0.0
+        rows = np.arange(len(default_theta_grid()))
+        assert len(rows[_mirror_rows(_default_grid()[1], phase_step)[1]]) < 360
+        with mock.patch.object(radiation, "_mirror_rows", wraps=radiation._mirror_rows) as split:
+            array_factor(0.3j, P, 8, F0)
+            assert split.call_count == 0
+            pats = array_factor(gamma, P, 8, f)
+            assert split.call_count == 1
+        assert_rows_match_one_at_a_time(pats, gamma.tolist(), P, 8)
 
     def test_pair_whose_phase_rounds_to_zero_is_not_mirrored(self):
         # sin theta = +-5e-324: k0 p sin theta is zero at 5 GHz, and a zero
