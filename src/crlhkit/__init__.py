@@ -41,7 +41,12 @@ _EXPORTS = {
         "modulus_from_geometry",
         "r_series",
     ),
-    "radiation": ("RadiationPattern", "array_factor", "pattern_for_frequency"),
+    "radiation": (
+        "RadiationPattern",
+        "array_factor",
+        "beams_for_frequency",
+        "pattern_for_frequency",
+    ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

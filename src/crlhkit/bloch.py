@@ -35,7 +35,8 @@ _SWEEP_BLOCK = 65536
 
 # Attenuation floor separating numerical residue from a real stop band.
 _EVANESCENT_ALPHA_NP_PER_M = 1e-6
-# |sinh(gamma p)| below this means the Bloch impedance is indeterminate.
+# |sinh(gamma p)| below this means the Bloch impedance b / sinh(gamma p) is
+# indeterminate; _gamma forms sinh(gamma p) as sqrt(a - 1) sqrt(a + 1).
 _DEGENERATE_SINH = 1e-12
 # Band-edge match tolerance on |beta p| against 0 and pi.
 _EDGE_TOL = 1e-9
@@ -135,7 +136,8 @@ def _gamma(a: np.ndarray, b: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarr
     gp = np.empty(a.shape, dtype=complex)
     gp.real = np.arcsinh(s1.real * s2.real + s1.imag * s2.imag)
     gp.imag = 2.0 * np.arctan2(s1.imag, s2.real)
-    s = np.sinh(gp)
+    # sinh(gamma p) of the principal root: sinh(acosh a) = sqrt(a - 1) sqrt(a + 1)
+    s = s1 * s2
     z_bloch = b / s
     forward = (np.abs(s) > _DEGENERATE_SINH) & (np.abs(z_bloch.real) > 1e-9 * np.abs(z_bloch))
     gp = np.where(forward & (z_bloch.real < 0.0), -gp, gp)
@@ -282,26 +284,39 @@ def transition_frequency(
     The bracket endpoints must straddle the sign change; Brent iteration
     (bracketing, derivative-free, with inverse-quadratic and secant steps)
     refines the root. Raises BracketError when beta has the same sign at
-    both ends or the iteration does not converge.
+    both ends, when the iteration does not converge, or when the root lies
+    in a stop band (alpha above _EVANESCENT_ALPHA_NP_PER_M there): an
+    unbalanced cell pins beta at 0 across the gap between its series and
+    shunt resonances, and which point of it the iteration lands on depends
+    on the bracket.
     """
     f_lo, f_hi = bracket
     if not 0.0 < f_lo < f_hi:
         raise ValueError(f"need 0 < f_lo < f_hi, got ({f_lo}, {f_hi})")
+    alphas = {}  # the alpha of each frequency evaluated
 
     def beta_of(f: float) -> float:
-        return bloch_gamma(cell, f)[0]
+        beta, alphas[f] = bloch_gamma(cell, f)
+        return beta
 
     b_lo, b_hi = beta_of(f_lo), beta_of(f_hi)
     if b_lo == 0.0:
-        return f_lo
-    if b_hi == 0.0:
-        return f_hi
-    if math.copysign(1.0, b_lo) == math.copysign(1.0, b_hi):
+        root = f_lo
+    elif b_hi == 0.0:
+        root = f_hi
+    elif math.copysign(1.0, b_lo) == math.copysign(1.0, b_hi):
         raise BracketError(
             f"beta does not change sign over [{f_lo:.9g}, {f_hi:.9g}] Hz "
             f"(beta = {b_lo:.6g} and {b_hi:.6g} rad/m)"
         )
-    return float(_brentq(beta_of, f_lo, f_hi, b_lo, b_hi, _BRENT_XTOL))
+    else:
+        root = float(_brentq(beta_of, f_lo, f_hi, b_lo, b_hi, _BRENT_XTOL))
+    if alphas[root] > _EVANESCENT_ALPHA_NP_PER_M:
+        raise BracketError(
+            f"beta crosses zero inside a stop band: alpha = {alphas[root]:.6g} Np/m "
+            f"at {root:.9g} Hz, so the cell has no single transition frequency"
+        )
+    return root
 
 
 def scan_profile(

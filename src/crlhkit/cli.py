@@ -263,7 +263,7 @@ def cmd_pattern(config: RunConfig, args) -> int:
 
 def cmd_sweep(config: RunConfig, args) -> int:
     from .bloch import transition_frequency
-    from .radiation import pattern_for_frequency
+    from .radiation import beams_for_frequency
     from .table import _dispersion_csvs
 
     out_dir = args.out if args.out is not None else "."
@@ -278,10 +278,10 @@ def cmd_sweep(config: RunConfig, args) -> int:
             print(f"error: {n}-finger state: {exc}", file=sys.stderr)
             return 1
         sweep = _sweep(cell, config)
-        pat = pattern_for_frequency(
+        broadside = beams_for_frequency(
             cell, f0, config.cell_geometry.n_cells, leakage_np_per_cell=args.leakage
         )
-        solved[n] = cell, f0, sweep, pat
+        solved[n] = cell, f0, sweep, broadside
     csv_names = {n: f"dispersion_{n}f.csv" for n in solved}
     # the states share one grid, so their CSVs are written chunk by chunk in turn
     _write_files(
@@ -290,15 +290,15 @@ def cmd_sweep(config: RunConfig, args) -> int:
         list(csv_names.values()),
     )
     states = {}
-    for n, (cell, f0, sweep, pat) in solved.items():
+    for n, (cell, f0, sweep, (beam, width)) in solved.items():
         angles = sweep.scan_deg[sweep.leaky]
         states[str(n)] = {
             "transition_Hz": f0,
             "target_Hz": config.targets[n],
             "scan_min_deg": float(angles.min()) if angles.size else None,
             "scan_max_deg": float(angles.max()) if angles.size else None,
-            "broadside_beam_deg": pat.main_beam_deg,
-            "broadside_beamwidth_3db_deg": pat.beamwidth_3db_deg,
+            "broadside_beam_deg": beam,
+            "broadside_beamwidth_3db_deg": width,
             "dispersion_csv": csv_names[n],
         }
     summary = {
@@ -420,6 +420,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    try:
+        code = _run(argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe early (`crlhkit dispersion | head -1`):
+        # stop quietly, with stdout on devnull so that the flush at exit
+        # cannot raise again (the SIGPIPE recipe of the Python docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
+
+
+def _run(argv) -> int:
     args = _build_parser().parse_args(argv)
     from dataclasses import replace
 

@@ -9,6 +9,7 @@ are array-factor dominated, so no element pattern is applied.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -26,6 +27,17 @@ _NULL_FLOOR = 1e-15
 # _BLOCK x len(theta) x n_cells complex values is reused for every block,
 # so transient memory does not grow with the number of frequencies.
 _BLOCK = 4
+# The beam screen (_screen): its margin relative to sum r^n, the half-power
+# ratio 10^(-3/20), the limit on N (k0 p + |beta p|) below which the
+# screen's and the exact sum's rounding stay far inside that margin (both
+# are of order N (k0 p + |beta p|) eps sum r^n), the denominator below
+# which the closed form is taken at its limit, and the dB value that
+# stands in for a row surely above -3 dB.
+_SCREEN_MARGIN = 1e-9
+_HALF_POWER = 10.0 ** (-3.0 / 20.0)
+_SCREEN_PHASE_LIMIT = 1e5
+_SCREEN_TINY = 1e-150
+_ABOVE_DB = -1.5
 
 
 def default_theta_grid() -> np.ndarray:
@@ -125,20 +137,12 @@ def _default_grid():
     return theta, sin_theta, split, float(-sin_theta[split[1]].max())
 
 
-def array_factor(
-    gamma: complex | np.ndarray,
-    p: float,
-    n_cells: int,
-    f: float | np.ndarray,
-    theta_grid: np.ndarray | None = None,
-) -> RadiationPattern:
-    """Pattern of n_cells isotropic radiators fed by a traveling wave.
-
-    AF(theta) = sum over n of exp(-n gamma p) exp(j n k0 p sin theta),
-    normalized so the grid peak sits at 0 dB exactly. gamma and f are one
-    value each (floats come back) or 1-D arrays of one length, one
-    pattern per frequency (arrays come back).
-    """
+def _inputs(gamma, p, n_cells, f, theta_grid):
+    """Validated inputs of array_factor and the arrays every evaluation of
+    them shares: (freqs, gammas, theta, sin_theta, phase_step, excitation,
+    split). phase_step is k0 p of each frequency, excitation the frequency x
+    cell array exp(-n gamma p), and split the (own, mirror, source) rows of
+    _mirror_rows."""
     freqs = np.asarray(f, dtype=float)
     gammas = np.asarray(gamma, dtype=complex)
     if freqs.ndim > 1 or gammas.shape != freqs.shape:
@@ -168,49 +172,91 @@ def array_factor(
     if not np.isfinite(phase_step).all():
         raise ValueError(f"k0 p must be finite, got {phase_step.max()} at period {p}")
     excitation = np.exp(-np.arange(n_cells) * gammas.reshape(-1, 1) * p)
-    # Steering entry exp(j n k0 p sin theta) of angle row theta and cell n.
-    # Own rows take one complex exp per n >= 1, mirror rows the conjugate
-    # of their source row, and n = 0 is 1. The exp argument is the one the
-    # complex product (j k0 p sin theta) n gives: real part zero, imaginary
-    # part (k0 p sin theta + 0.0) n, so every entry keeps its bits.
     # the default grid's split holds while no mirror row's phase step rounds to zero
-    if theta_grid is None and phase_step.min() * least_sin > 0.0:
-        own, mirror, source = split
-    else:
-        own, mirror, source = _mirror_rows(sin_theta, phase_step)
-    sin_own = sin_theta[own]
+    if not (theta_grid is None and phase_step.min() * least_sin > 0.0):
+        split = _mirror_rows(sin_theta, phase_step)
+    return freqs, gammas, theta, sin_theta, phase_step, excitation, split
+
+
+def _magnitudes(sin_theta, phase_step, excitation, splits) -> np.ndarray:
+    """|AF| of each frequency and angle row, as a frequency x angle array.
+
+    The frequency x angle x cell steering tensor is built _BLOCK
+    frequencies at a time in one reused buffer. splits gives, for each
+    block in turn, the (own, mirror, source) rows to steer, as _mirror_rows
+    returns them. A row left out keeps the finite values the buffer already
+    holds, so its |AF| means nothing, but it still goes through the matmul:
+    the BLAS kernel rounds a row's sum differently depending on where the
+    row sits in the call, so every block keeps its full shape.
+    """
+    n_cells = excitation.shape[1]
     n = np.arange(1, n_cells)
-    # the F x theta x n_cells steering tensor, _BLOCK frequencies at a time
-    block_rows = min(_BLOCK, len(k0))
-    steering = np.empty((block_rows, len(theta), n_cells), dtype=complex)
+    block_rows = min(_BLOCK, len(phase_step))
+    steering = np.zeros((block_rows, len(sin_theta), n_cells), dtype=complex)
     steering.real[..., 0] = 1.0
-    phase = np.zeros((block_rows, len(sin_own), n_cells - 1), dtype=complex)
-    phasor = np.empty_like(phase)
-    field = np.empty((block_rows, len(theta), 1), dtype=complex)
-    db = np.empty((len(k0), len(theta)))
-    for lo in range(0, len(k0), _BLOCK):
-        hi = min(lo + _BLOCK, len(k0))
+    field = np.empty((block_rows, len(sin_theta), 1), dtype=complex)
+    magnitude = np.empty((len(phase_step), len(sin_theta)))
+    for lo, (own, mirror, source) in zip(range(0, len(phase_step), _BLOCK), splits):
+        hi = min(lo + _BLOCK, len(phase_step))
         block = steering[: hi - lo]
-        # + 0.0 as in the complex product: a zero phase is never negative
-        step = phase_step[lo:hi, None] * sin_own + 0.0
-        np.multiply(step[..., None], n, out=phase[: hi - lo].imag)
-        np.exp(phase[: hi - lo], out=phasor[: hi - lo])
-        block[:, own, 1:] = phasor[: hi - lo]
+        # Steering entry exp(j n k0 p sin theta) of angle row theta and cell
+        # n. Own rows take one complex exp per n >= 1, mirror rows the
+        # conjugate of their source row, and n = 0 is 1. The exp argument is
+        # the one the complex product (j k0 p sin theta) n gives: real part
+        # zero, imaginary part (k0 p sin theta + 0.0) n, so every entry
+        # keeps its bits. + 0.0 as in that product: a zero phase is never
+        # negative.
+        step = phase_step[lo:hi, None] * sin_theta[own] + 0.0
+        phase = np.zeros((*step.shape, n_cells - 1), dtype=complex)
+        np.multiply(step[..., None], n, out=phase.imag)
+        block[:, own, 1:] = np.exp(phase)
         # exp(j 0) = 1 with the zero imaginary part signed like the phase step
         block.imag[:, own, 0] = step * 0.0
         block[:, mirror] = np.conjugate(block[:, source])
         np.matmul(block, excitation[lo:hi, :, None], out=field[: hi - lo])
-        np.abs(field[: hi - lo, :, 0], out=db[lo:hi])
-    # magnitude to dB in place: 20 log10(max(|AF|, floor) / peak)
-    peak = db.max(axis=1, keepdims=True)
-    np.maximum(db, peak * _NULL_FLOOR, out=db)
-    db /= peak
-    np.log10(db, out=db)
-    db *= 20.0
-    db -= db.max(axis=1, keepdims=True)
+        np.abs(field[: hi - lo, :, 0], out=magnitude[lo:hi])
+    return magnitude
+
+
+def _to_db(magnitude: np.ndarray) -> np.ndarray:
+    """Each row of |AF| to dB in place, 20 log10(max(|AF|, floor) / peak),
+    so that its peak sits at 0 dB exactly."""
+    peak = magnitude.max(axis=1, keepdims=True)
+    np.maximum(magnitude, peak * _NULL_FLOOR, out=magnitude)
+    magnitude /= peak
+    np.log10(magnitude, out=magnitude)
+    magnitude *= 20.0
+    magnitude -= magnitude.max(axis=1, keepdims=True)
+    return magnitude
+
+
+def _beam_angles(theta: np.ndarray, db: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(main beam, -3 dB beamwidth) of each row of db: the grid argmax and
+    the width between the crossings on either side of it."""
     i_peak = np.argmax(db, axis=1)
     width = _crossing_angles(theta, db, i_peak, +1) - _crossing_angles(theta, db, i_peak, -1)
-    main = theta[i_peak]
+    return theta[i_peak], width
+
+
+def array_factor(
+    gamma: complex | np.ndarray,
+    p: float,
+    n_cells: int,
+    f: float | np.ndarray,
+    theta_grid: np.ndarray | None = None,
+) -> RadiationPattern:
+    """Pattern of n_cells isotropic radiators fed by a traveling wave.
+
+    AF(theta) = sum over n of exp(-n gamma p) exp(j n k0 p sin theta),
+    normalized so the grid peak sits at 0 dB exactly. gamma and f are one
+    value each (floats come back) or 1-D arrays of one length, one
+    pattern per frequency (arrays come back).
+    """
+    freqs, _, theta, sin_theta, phase_step, excitation, split = _inputs(
+        gamma, p, n_cells, f, theta_grid
+    )
+    db = _to_db(_magnitudes(sin_theta, phase_step, excitation, itertools.repeat(split)))
+    main, width = _beam_angles(theta, db)
     if freqs.ndim == 0:
         return RadiationPattern(
             f=float(freqs),
@@ -222,6 +268,123 @@ def array_factor(
     return RadiationPattern(
         f=freqs, theta_deg=theta, magnitude_db=db, main_beam_deg=main, beamwidth_3db_deg=width
     )
+
+
+def _beside(rows: np.ndarray) -> np.ndarray:
+    """The angle rows next to a marked row of the same frequency."""
+    out = np.zeros_like(rows)
+    out[:, 1:] = rows[:, :-1]
+    out[:, :-1] |= rows[:, 1:]
+    return out
+
+
+def _screen(gammas, p, n_cells, phase_step, sin_theta, excitation):
+    """(exact, above): frequency x angle masks of the rows _beams evaluates
+    exactly and of the rows whose |AF| is surely above -3 dB.
+
+    The estimate is the geometric series in closed form (Balanis, Antenna
+    Theory, 3rd ed., sec. 6.3): with r = exp(-alpha p) and psi = k0 p sin
+    theta - beta p,
+    |AF|^2 = ((1 - r^N)^2 + 4 r^N sin^2(N psi/2)) / ((1 - r)^2 + 4 r sin^2(psi/2)).
+    It and the exact sum both lie well within the margin m = 1e-9 sum r^n
+    of the true |AF|, while N (k0 p + |beta p|) stays under
+    _SCREEN_PHASE_LIMIT. A frequency past that limit, or with an estimate
+    that overflows, has every row evaluated exactly.
+    """
+    alpha_p = gammas.real[:, None] * p
+    beta_p = gammas.imag[:, None] * p
+    # two frequency x angle buffers, each op in place: a fresh temporary of
+    # this size costs more in page faults than the op itself
+    half = np.multiply(phase_step[:, None], sin_theta)
+    num = np.empty_like(half)
+    with np.errstate(all="ignore"):
+        # psi/2 reduced to [-pi/2, pi/2] before it is multiplied by N, so
+        # that near a grating lobe both sines see one rounded argument
+        half -= beta_p
+        half *= 0.5
+        np.multiply(half, 1.0 / math.pi, out=num)
+        np.rint(num, out=num)
+        num *= math.pi
+        half -= num
+        np.multiply(half, n_cells, out=num)
+        for x, r_p in ((num, n_cells * alpha_p), (half, alpha_p)):
+            # sin^2 x as 1 / (1 + 1 / tan^2 x), which keeps its relative
+            # precision near 0: numpy vectorizes float64 tan with AVX-512,
+            # not sin (about 2 against 8 ns a value)
+            np.tan(x, out=x)
+            x *= x
+            np.reciprocal(x, out=x)
+            x += 1.0
+            np.reciprocal(x, out=x)
+            x *= 4.0 * np.exp(-r_p)
+            x += np.expm1(-r_p) ** 2
+        den = half
+        num /= den
+        estimate = np.sqrt(num, out=num)
+    total = np.abs(excitation).sum(axis=1, keepdims=True)
+    # a vanishing denominator (r and psi within 1e-75 of 1 and 0, where the
+    # quotient is 0/0 or loses its digits to underflow) has |AF| = sum r^n
+    np.copyto(estimate, total, where=~(den > _SCREEN_TINY))
+    estimate[~np.isfinite(estimate)] = np.nan
+    margin = _SCREEN_MARGIN * total
+    # a NaN estimate makes its frequency's top NaN, and then every row of
+    # that frequency compares false: neither surely above nor surely below
+    top = estimate.max(axis=1, keepdims=True)
+    top[n_cells * (phase_step[:, None] + np.abs(beta_p)) > _SCREEN_PHASE_LIMIT] = np.nan
+    peak = estimate >= top - 2.0 * margin
+    above = estimate > (top + margin) * _HALF_POWER * (1.0 + 1e-9) + margin
+    below = estimate < (top - margin) * _HALF_POWER * (1.0 - 1e-9) - margin
+    exact = peak | ~(above | below) | (_beside(above | peak) & ~above)
+    exact |= _beside(exact)
+    return exact, above
+
+
+def _beams(gamma, p, n_cells, f, theta_grid=None):
+    """array_factor's main_beam_deg and beamwidth_3db_deg, bit for bit,
+    from exact |AF| on the few rows that can decide them; see
+    beams_for_frequency."""
+    freqs, gammas, theta, sin_theta, phase_step, excitation, split = _inputs(
+        gamma, p, n_cells, f, theta_grid
+    )
+    exact, above = _screen(gammas.reshape(-1), p, n_cells, phase_step, sin_theta, excitation)
+    rows = np.arange(len(theta))
+    source_of = np.full(len(theta), -1)
+    source_of[rows[split[1]]] = rows[split[2]]
+
+    def block_splits():
+        # the rows any frequency of a block needs, each mirror row's source
+        # among its own rows
+        for lo in range(0, len(phase_step), _BLOCK):
+            need = exact[lo : lo + _BLOCK].any(axis=0)
+            mirror = np.flatnonzero(need & (source_of >= 0))
+            own = need & (source_of < 0)
+            own[source_of[mirror]] = True
+            yield np.flatnonzero(own), mirror, source_of[mirror]
+
+    magnitude = _magnitudes(sin_theta, phase_step, excitation, block_splits())
+    stand_in = ~exact
+    magnitude[stand_in] = 0.0
+    db = _to_db(magnitude)
+    db[stand_in] = -np.inf
+    db[stand_in & above] = _ABOVE_DB
+    main, width = _beam_angles(theta, db)
+    if freqs.ndim == 0:
+        return float(main[0]), float(width[0])
+    return main, width
+
+
+def _gamma_for(cell: CrlhUnitCell, f, leakage_np_per_cell: float | None):
+    """gamma = alpha + j beta of cell at f, the alpha replaced by the
+    per-cell leakage when one is given."""
+    beta, alpha = bloch_gamma(cell, f)
+    if leakage_np_per_cell is not None:
+        if not 0.0 <= leakage_np_per_cell < math.inf:
+            raise ValueError(f"leakage must be >= 0 and finite, got {leakage_np_per_cell}")
+        alpha = leakage_np_per_cell / cell.period
+    gamma = np.empty(np.shape(beta), dtype=complex)
+    gamma.real = alpha
+    gamma.imag = beta
+    return gamma
 
 
 def pattern_for_frequency(
@@ -238,12 +401,33 @@ def pattern_for_frequency(
     the finite leakage of a real radiating aperture. Left as None the
     Bloch alpha is used unchanged.
     """
-    beta, alpha = bloch_gamma(cell, f)
-    if leakage_np_per_cell is not None:
-        if not 0.0 <= leakage_np_per_cell < math.inf:
-            raise ValueError(f"leakage must be >= 0 and finite, got {leakage_np_per_cell}")
-        alpha = leakage_np_per_cell / cell.period
-    gamma = np.empty(np.shape(beta), dtype=complex)
-    gamma.real = alpha
-    gamma.imag = beta
+    gamma = _gamma_for(cell, f, leakage_np_per_cell)
     return array_factor(gamma, cell.period, n_cells, f, theta_grid)
+
+
+def beams_for_frequency(
+    cell: CrlhUnitCell,
+    f: float | np.ndarray,
+    n_cells: int,
+    leakage_np_per_cell: float | None = None,
+) -> tuple[float | np.ndarray, float | np.ndarray]:
+    """(main_beam_deg, beamwidth_3db_deg) of pattern_for_frequency on the
+    default grid, bit for bit, without building the whole pattern.
+
+    f is one frequency (floats come back) or a 1-D array (arrays come
+    back); leakage_np_per_cell is as for pattern_for_frequency. Only the
+    argmax and the two -3 dB crossings of each cut reach the result, so a
+    closed-form screen (_screen) picks the rows that can decide them: the
+    peak candidates, within twice the margin m = 1e-9 sum r^n of the
+    largest estimate; every row the margin leaves undecided against -3 dB;
+    the rows beside a surely-above row or a peak candidate; and the
+    neighbours of all of those. Only those rows get exact |AF|, computed by
+    array_factor's own steering, matmul and dB steps; the others stand in
+    as a value between -3 and 0 dB when surely above, -inf otherwise, and
+    the same argmax and crossing walk then run. The matmul keeps its full
+    block shape, with the rows left out holding stale finite values,
+    because the BLAS kernel rounds a row differently depending on where it
+    sits in the call. A flat cut, such as one cell, has every row exact.
+    """
+    gamma = _gamma_for(cell, f, leakage_np_per_cell)
+    return _beams(gamma, cell.period, n_cells, f)

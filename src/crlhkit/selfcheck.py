@@ -11,6 +11,7 @@ All randomness is seeded, so a run is reproducible bit for bit.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -29,7 +30,7 @@ from .bloch import (
 from .cell import CrlhUnitCell
 from .config import RunConfig
 from .errors import CrlhError
-from .radiation import pattern_for_frequency
+from .radiation import beams_for_frequency
 
 # Reference-geometry series capacitance and its tolerance.
 C_ANCHOR_PF = 0.0867
@@ -42,7 +43,7 @@ TRACE_RTOL = 1e-8
 SCAN_LIMIT_DEG = 45.0
 TRACE_SEED = 0x5EED
 N_TRACE_FREQS = 20
-# Leaky samples per pattern call. It bounds the slice x 721-angle arrays
+# Leaky samples per beam call. It bounds the slice x 721-angle arrays
 # that one call holds, whatever the grid size; 64 covers a typical state in
 # one or two calls and keeps each of those arrays under 0.4 MB.
 BEAM_SLICE = 64
@@ -86,8 +87,12 @@ def check_capacitance_anchor(config: RunConfig) -> tuple[bool, str]:
     )
 
 
+@functools.cache
 def check_elliptic_ratio() -> tuple[bool, str]:
-    """Closed-form K/K' tracks the exact AGM ratio and is continuous at the split."""
+    """Closed-form K/K' tracks the exact AGM ratio and is continuous at the split.
+
+    It reads no input, so its result is worked out once per process.
+    """
     worst = 0.0
     for k in np.linspace(0.05, 0.95, 50):
         approx = idc.elliptic_ratio(float(k))
@@ -147,9 +152,9 @@ def check_beam_consistency(config: RunConfig, cells: Cells, sweeps: Sweeps) -> t
         freqs = sweep.f[sweep.leaky]
         expected = sweep.scan_deg[sweep.leaky]
         for lo in range(0, len(freqs), BEAM_SLICE):
-            pat = pattern_for_frequency(cell, freqs[lo : lo + BEAM_SLICE], n_cells)
-            miss = np.abs(pat.main_beam_deg - expected[lo : lo + BEAM_SLICE])
-            half = pat.beamwidth_3db_deg / 2.0
+            beam, width = beams_for_frequency(cell, freqs[lo : lo + BEAM_SLICE], n_cells)
+            miss = np.abs(beam - expected[lo : lo + BEAM_SLICE])
+            half = width / 2.0
             ok = ok and bool((miss <= half).all())
             worst = max(worst, float((miss / half).max()))
         count += len(freqs)

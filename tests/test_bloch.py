@@ -333,6 +333,16 @@ class TestTransition:
         with pytest.raises(ValueError):
             transition_frequency(cells[4], bracket=(9e9, 8e9))
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("bracket", [(7.5e9, 12.0e9), (7.5e9, 20.0e9)])
+    def test_root_inside_a_stop_band_is_a_bracket_error(self, cells, n, bracket):
+        # the shunt branch detuned 20 percent opens a gap where beta is
+        # pinned at 0; Brent lands on a bracket-dependent point of it
+        # (10.09 or 10.625 GHz for 2 fingers), which is no transition
+        cell = replace(cells[n], c_r=1.2 * cells[n].c_r)
+        with pytest.raises(BracketError, match="inside a stop band: alpha = [0-9.]+ Np/m at"):
+            transition_frequency(cell, bracket=bracket)
+
     @settings(max_examples=150, deadline=None)
     @given(
         n=st.sampled_from([2, 3, 4]),

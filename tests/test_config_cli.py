@@ -580,7 +580,7 @@ class TestCliCommands:
         assert doc[2]["detail"] == failed[0].split(": ", 1)[1]
 
     def test_reproduce_solves_each_state_once(self, monkeypatch, capsys):
-        calls = {"transition": [], "pattern": []}
+        calls = {"transition": [], "beams": []}
 
         def counted(name, fn):
             def wrapper(cell, *args, **kwargs):
@@ -589,23 +589,28 @@ class TestCliCommands:
 
             return wrapper
 
-        wrapped = {"transition": "transition_frequency", "pattern": "pattern_for_frequency"}
+        wrapped = {"transition": "transition_frequency", "beams": "beams_for_frequency"}
         for name, attr in wrapped.items():
             monkeypatch.setattr(selfcheck, attr, counted(name, getattr(selfcheck, attr)))
         assert main(["reproduce"]) == 0
         assert "8/8 checks passed" in capsys.readouterr().out
         assert len(calls["transition"]) == 3
-        # batched pattern calls over each state's leaky samples, a slice at a time
+        # batched beam calls over each state's leaky samples, a slice at a time
         config = resolve_config(env={})
         leaky = []
         for n in (2, 3, 4):
             s = dispersion_sweep(config.cell(n), config.f_start, config.f_stop, config.n_points)
             leaky.append(s.f[s.leaky])
         slices = [-(-len(f) // selfcheck.BEAM_SLICE) for f in leaky]
-        assert len(calls["pattern"]) == sum(slices) < 6
-        freqs = [f for f, _ in calls["pattern"]]
+        assert len(calls["beams"]) == sum(slices) < 6
+        freqs = [f for f, _ in calls["beams"]]
         assert all(len(f) <= selfcheck.BEAM_SLICE for f in freqs)
         assert np.array_equal(np.concatenate(freqs), np.concatenate(leaky))
+
+    def test_elliptic_check_is_worked_out_once(self):
+        # it reads no input, so every run_all in a process shares one result
+        first = selfcheck.check_elliptic_ratio()
+        assert first[0] and selfcheck.check_elliptic_ratio() is first
 
     def test_reproduce_detects_detuned_substrate(self, tmp_path, capsys):
         path = write_cfg(tmp_path, "epsilon_r = 1.0\n")
@@ -655,6 +660,23 @@ class TestCliCommands:
         extra = imported_modules(proc.stderr) - imported_modules(bare.stderr)
         unwanted = {"crlhkit.config", "crlhkit.cell", "crlhkit.idc", "dataclasses", "json"}
         assert not extra & unwanted
+
+    def test_closed_pipe_ends_quietly(self):
+        # the reader takes one line and closes the pipe, as `| head -1` does;
+        # 20,000 rows are far more than a pipe buffer holds
+        src = os.path.dirname(os.path.dirname(crlhkit.__file__))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "crlhkit.cli", "dispersion", "--points", "20000"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.stdout.readline().startswith(b"f_Hz,beta_rad_per_m,")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert err == b""
 
     def test_dispersion_runs_in_a_child_process(self, capsys):
         proc = run_python("-X", "importtime", "-m", "crlhkit.cli", "dispersion", "--points", "7")

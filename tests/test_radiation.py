@@ -9,10 +9,15 @@ from hypothesis import strategies as st
 import radiation_oracle
 from crlhkit import radiation
 from crlhkit.bloch import bloch_gamma, dispersion_sweep
+from crlhkit.geometry import C0
 from crlhkit.radiation import (
+    _beams,
     _default_grid,
+    _inputs,
     _mirror_rows,
+    _screen,
     array_factor,
+    beams_for_frequency,
     default_theta_grid,
     pattern_for_frequency,
 )
@@ -100,8 +105,11 @@ class TestArrayFactor:
 
 def assert_rows_match_one_at_a_time(pats, gammas, p, n_cells):
     """Each row of a batched pattern equals the one-frequency call and the
-    scalar oracle, bit for bit."""
+    scalar oracle, bit for bit, and its beam and width equal _beams'."""
     assert pats.magnitude_db.shape == (len(pats.f), len(pats.theta_deg))
+    grid = None if pats.theta_deg is _default_grid()[0] else pats.theta_deg
+    beams, widths = _beams(np.array(gammas), p, n_cells, pats.f, grid)
+    assert (beams == pats.main_beam_deg).all() and (widths == pats.beamwidth_3db_deg).all()
     for i, (gamma, f) in enumerate(zip(gammas, pats.f.tolist())):
         one = array_factor(gamma, p, n_cells, f, pats.theta_deg)
         db, beam, width = radiation_oracle.array_factor(gamma, p, n_cells, f, pats.theta_deg)
@@ -248,6 +256,123 @@ class TestMirroredSteering:
             array_factor(0.0j, P, 8, F0, theta_grid=np.array([0.0, np.inf]))
         with pytest.raises(ValueError, match="finite"):
             array_factor(0.0j, P, 8, 1e308)
+
+
+def exact_rows(gamma, p, n_cells, f, theta_grid=None):
+    """The rows per frequency that _beams evaluates exactly."""
+    _, gammas, _, sin_theta, phase_step, excitation, _ = _inputs(gamma, p, n_cells, f, theta_grid)
+    exact, _ = _screen(gammas.reshape(-1), p, n_cells, phase_step, sin_theta, excitation)
+    return exact.sum(axis=1)
+
+
+class TestBeams:
+    """_beams and beams_for_frequency give array_factor's beam and width
+    bit for bit, from exact values on the rows the screen picks."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        n_freqs=st.integers(min_value=1, max_value=69),
+        n_cells=st.integers(min_value=1, max_value=40),
+        p=st.floats(min_value=5e-3, max_value=20e-3),
+        beta=st.sampled_from(["k0", "rad_per_m", "zero"]),
+        lossy=st.booleans(),
+        grid=st.one_of(
+            st.none(),
+            st.lists(
+                st.floats(min_value=-90.0, max_value=90.0), min_size=2, max_size=300, unique=True
+            ).map(sorted),
+        ),
+    )
+    def test_equals_array_factor(self, seed, n_freqs, n_cells, p, beta, lossy, grid):
+        # 6-20 GHz on 5-20 mm periods puts grating lobes on the grid
+        rng = np.random.default_rng(seed)
+        f = rng.uniform(6e9, 20e9, n_freqs)
+        k0 = 2.0 * math.pi * f / C0
+        betas = {
+            "k0": rng.uniform(-1.3, 1.3, n_freqs) * k0,
+            "rad_per_m": rng.uniform(-400.0, 400.0, n_freqs),
+            "zero": np.zeros(n_freqs),
+        }[beta]
+        alphas = np.where(rng.random(n_freqs) < 0.5, 0.0, rng.uniform(0.0, 30.0, n_freqs))
+        gamma = betas * 1j + (alphas if lossy else 0.0)
+        theta = None if grid is None else np.array(grid)
+        pats = array_factor(gamma, p, n_cells, f, theta)
+        beams, widths = _beams(gamma, p, n_cells, f, theta)
+        assert (beams == pats.main_beam_deg).all()
+        assert (widths == pats.beamwidth_3db_deg).all()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.sampled_from([2, 3, 4]),
+        scales=CELL_SCALES,
+        r_series=R_SERIES,
+        freqs=st.lists(st.floats(min_value=6e9, max_value=13e9), min_size=1, max_size=11),
+        n_cells=st.integers(min_value=1, max_value=40),
+        leakage=st.one_of(st.none(), st.floats(min_value=0.0, max_value=0.3)),
+    )
+    def test_cell_beams_equal_the_patterns(self, cells, n, scales, r_series, freqs, n_cells, leakage):
+        cell = perturbed(cells[n], scales, r_series)
+        pats = pattern_for_frequency(cell, np.array(freqs), n_cells, leakage_np_per_cell=leakage)
+        beams, widths = beams_for_frequency(cell, np.array(freqs), n_cells, leakage)
+        assert (beams == pats.main_beam_deg).all()
+        assert (widths == pats.beamwidth_3db_deg).all()
+        one = pattern_for_frequency(cell, freqs[0], n_cells, leakage_np_per_cell=leakage)
+        beam, width = beams_for_frequency(cell, freqs[0], n_cells, leakage)
+        assert isinstance(beam, float) and isinstance(width, float)
+        assert (beam, width) == (one.main_beam_deg, one.beamwidth_3db_deg)
+
+    def test_screen_keeps_a_handful_of_rows_in_the_leaky_band(self, config, cells):
+        n_cells = config.cell_geometry.n_cells
+        for cell in cells.values():
+            sweep = dispersion_sweep(cell, config.f_start, config.f_stop, config.n_points)
+            f = sweep.f[sweep.leaky]
+            gamma = sweep.alpha[sweep.leaky] + 1j * sweep.beta[sweep.leaky]
+            rows = exact_rows(gamma, cell.period, n_cells, f)
+            assert np.median(rows) <= 12 and rows.max() < 60
+            beams, widths = beams_for_frequency(cell, f, n_cells)
+            pats = pattern_for_frequency(cell, f, n_cells)
+            assert (beams == pats.main_beam_deg).all()
+            assert (widths == pats.beamwidth_3db_deg).all()
+
+    def test_flat_cut_evaluates_every_row(self):
+        # one cell has |AF| = 1 on every row: each row is a peak candidate
+        gamma, f = np.array([0.3j, 2.0 + 40.0j]), np.array([F0, 11e9])
+        assert exact_rows(gamma, P, 1, f).tolist() == [721, 721]
+        assert_rows_match_one_at_a_time(array_factor(gamma, P, 1, f), gamma.tolist(), P, 1)
+
+    def test_vanishing_denominator_takes_the_limit(self):
+        # lossless broadside: the closed form is 0/0 on the broadside row,
+        # where |AF| is the sum of the excitations, and nearly so beside it
+        for gamma in (0j, complex(1e-80, 1e-80)):
+            assert exact_rows(np.array([gamma]), P, 8, np.array([F0]))[0] < 12
+            beam, width = _beams(gamma, P, 8, F0)
+            pat = array_factor(gamma, P, 8, F0)
+            assert (beam, width) == (pat.main_beam_deg, pat.beamwidth_3db_deg)
+            assert beam == 0.0
+
+    def test_overflowing_estimate_evaluates_every_row(self):
+        # a growing wave, r^8 = e^768: the estimate overflows, the sum does not
+        gamma, f = np.array([-3e4 + 0j, 0.3j]), np.array([F0, F0])
+        assert exact_rows(gamma, P, 8, f)[0] == 721
+        assert_rows_match_one_at_a_time(array_factor(gamma, P, 8, f), gamma.tolist(), P, 8)
+
+    def test_phases_past_the_limit_evaluate_every_row(self):
+        # 40 cells at 100 THz: N k0 p is 2.7e5, and rounding in the phases
+        # could reach the margin
+        gamma, f = np.array([0.3j, 0.3j]), np.array([1e14, F0])
+        assert exact_rows(gamma, P, 40, f).tolist()[0] == 721
+        assert_rows_match_one_at_a_time(array_factor(gamma, P, 40, f), gamma.tolist(), P, 40)
+
+    def test_mirror_split_fallback(self):
+        # at 1e-312 Hz the cached mirror split does not hold (see
+        # TestMirroredSteering); _beams takes the fresh one too
+        gamma, f = np.array([0.3j, 0.0j]), np.array([1e-312, 1e-312])
+        with mock.patch.object(radiation, "_mirror_rows", wraps=radiation._mirror_rows) as split:
+            beams, widths = _beams(gamma, P, 8, f)
+            assert split.call_count == 1
+        pats = array_factor(gamma, P, 8, f)
+        assert (beams == pats.main_beam_deg).all() and (widths == pats.beamwidth_3db_deg).all()
 
 
 class TestPatternForFrequency:
