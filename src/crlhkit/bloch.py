@@ -17,7 +17,7 @@ from __future__ import annotations
 import enum
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -285,10 +285,10 @@ def transition_frequency(
     (bracketing, derivative-free, with inverse-quadratic and secant steps)
     refines the root. Raises BracketError when beta has the same sign at
     both ends, when the iteration does not converge, or when the root lies
-    in a stop band (alpha above _EVANESCENT_ALPHA_NP_PER_M there): an
-    unbalanced cell pins beta at 0 across the gap between its series and
-    shunt resonances, and which point of it the iteration lands on depends
-    on the bracket.
+    in a stop band (alpha of the lossless cell above
+    _EVANESCENT_ALPHA_NP_PER_M there): an unbalanced cell pins beta at 0
+    across the gap between its series and shunt resonances, and which point
+    of it the iteration lands on depends on the bracket.
     """
     f_lo, f_hi = bracket
     if not 0.0 < f_lo < f_hi:
@@ -311,9 +311,14 @@ def transition_frequency(
         )
     else:
         root = float(_brentq(beta_of, f_lo, f_hi, b_lo, b_hi, _BRENT_XTOL))
-    if alphas[root] > _EVANESCENT_ALPHA_NP_PER_M:
+    alpha = alphas[root]
+    if alpha > _EVANESCENT_ALPHA_NP_PER_M and cell.r_series > 0.0:
+        # loss lifts alpha everywhere, to about |beta| near a balanced
+        # cell's root, so the stop band is judged on the lossless cell
+        alpha = bloch_gamma(replace(cell, r_series=0.0), root)[1]
+    if alpha > _EVANESCENT_ALPHA_NP_PER_M:
         raise BracketError(
-            f"beta crosses zero inside a stop band: alpha = {alphas[root]:.6g} Np/m "
+            f"beta crosses zero inside a stop band: alpha = {alpha:.6g} Np/m "
             f"at {root:.9g} Hz, so the cell has no single transition frequency"
         )
     return root

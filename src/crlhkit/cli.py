@@ -420,19 +420,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    try:
-        code = _run(argv)
-        sys.stdout.flush()
-    except BrokenPipeError:
-        # the reader closed the pipe early (`crlhkit dispersion | head -1`):
-        # stop quietly, with stdout on devnull so that the flush at exit
-        # cannot raise again (the SIGPIPE recipe of the Python docs)
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 1
-    return code
-
-
-def _run(argv) -> int:
     args = _build_parser().parse_args(argv)
     from dataclasses import replace
 
@@ -468,5 +455,24 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
+def console_main() -> int:
+    """main as the `crlhkit` script and `python -m crlhkit.cli` run it.
+
+    When the reader of stdout closes the pipe early (`crlhkit dispersion |
+    head -1`), the process stops quietly with exit code 1, stdout pointed
+    at devnull so that the flush at exit cannot raise again: the SIGPIPE
+    recipe of the Python docs. It stays out of main, which callers also
+    run in process, because it repoints file descriptor 1 for the whole
+    process.
+    """
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(console_main())

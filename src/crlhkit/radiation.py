@@ -194,6 +194,10 @@ def _magnitudes(sin_theta, phase_step, excitation, splits) -> np.ndarray:
     block_rows = min(_BLOCK, len(phase_step))
     steering = np.zeros((block_rows, len(sin_theta), n_cells), dtype=complex)
     steering.real[..., 0] = 1.0
+    # the phases and phasors of a block's own rows, sliced from buffers
+    # with room for every row
+    phase = np.zeros((block_rows, len(sin_theta), n_cells - 1), dtype=complex)
+    phasor = np.empty_like(phase)
     field = np.empty((block_rows, len(sin_theta), 1), dtype=complex)
     magnitude = np.empty((len(phase_step), len(sin_theta)))
     for lo, (own, mirror, source) in zip(range(0, len(phase_step), _BLOCK), splits):
@@ -207,9 +211,11 @@ def _magnitudes(sin_theta, phase_step, excitation, splits) -> np.ndarray:
         # keeps its bits. + 0.0 as in that product: a zero phase is never
         # negative.
         step = phase_step[lo:hi, None] * sin_theta[own] + 0.0
-        phase = np.zeros((*step.shape, n_cells - 1), dtype=complex)
-        np.multiply(step[..., None], n, out=phase.imag)
-        block[:, own, 1:] = np.exp(phase)
+        own_phase = phase[: hi - lo, : step.shape[1]]
+        own_phasor = phasor[: hi - lo, : step.shape[1]]
+        np.multiply(step[..., None], n, out=own_phase.imag)
+        np.exp(own_phase, out=own_phasor)
+        block[:, own, 1:] = own_phasor
         # exp(j 0) = 1 with the zero imaginary part signed like the phase step
         block.imag[:, own, 0] = step * 0.0
         block[:, mirror] = np.conjugate(block[:, source])
@@ -293,8 +299,8 @@ def _screen(gammas, p, n_cells, phase_step, sin_theta, excitation):
     """
     alpha_p = gammas.real[:, None] * p
     beta_p = gammas.imag[:, None] * p
-    # two frequency x angle buffers, each op in place: a fresh temporary of
-    # this size costs more in page faults than the op itself
+    # two frequency x angle buffers, each op in place: with a fresh array
+    # for each step, `reproduce` peaked about 0.5 MB higher
     half = np.multiply(phase_step[:, None], sin_theta)
     num = np.empty_like(half)
     with np.errstate(all="ignore"):
@@ -302,20 +308,14 @@ def _screen(gammas, p, n_cells, phase_step, sin_theta, excitation):
         # that near a grating lobe both sines see one rounded argument
         half -= beta_p
         half *= 0.5
-        np.multiply(half, 1.0 / math.pi, out=num)
+        np.divide(half, math.pi, out=num)
         np.rint(num, out=num)
         num *= math.pi
         half -= num
         np.multiply(half, n_cells, out=num)
         for x, r_p in ((num, n_cells * alpha_p), (half, alpha_p)):
-            # sin^2 x as 1 / (1 + 1 / tan^2 x), which keeps its relative
-            # precision near 0: numpy vectorizes float64 tan with AVX-512,
-            # not sin (about 2 against 8 ns a value)
-            np.tan(x, out=x)
+            np.sin(x, out=x)
             x *= x
-            np.reciprocal(x, out=x)
-            x += 1.0
-            np.reciprocal(x, out=x)
             x *= 4.0 * np.exp(-r_p)
             x += np.expm1(-r_p) ** 2
         den = half
@@ -339,12 +339,12 @@ def _screen(gammas, p, n_cells, phase_step, sin_theta, excitation):
     return exact, above
 
 
-def _beams(gamma, p, n_cells, f, theta_grid=None):
-    """array_factor's main_beam_deg and beamwidth_3db_deg, bit for bit,
-    from exact |AF| on the few rows that can decide them; see
-    beams_for_frequency."""
+def _beams(gamma, p, n_cells, f):
+    """array_factor's main_beam_deg and beamwidth_3db_deg on the default
+    grid, bit for bit, from exact |AF| on the few rows that can decide
+    them; see beams_for_frequency."""
     freqs, gammas, theta, sin_theta, phase_step, excitation, split = _inputs(
-        gamma, p, n_cells, f, theta_grid
+        gamma, p, n_cells, f, None
     )
     exact, above = _screen(gammas.reshape(-1), p, n_cells, phase_step, sin_theta, excitation)
     rows = np.arange(len(theta))

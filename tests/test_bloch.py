@@ -28,6 +28,7 @@ from crlhkit.cell import calibrate_balanced, resonances
 from crlhkit.cli import fmt
 from crlhkit.errors import BracketError, PoleError
 from crlhkit.geometry import C0
+from crlhkit.idc import extract
 
 
 def k0_of(f):
@@ -342,6 +343,20 @@ class TestTransition:
         cell = replace(cells[n], c_r=1.2 * cells[n].c_r)
         with pytest.raises(BracketError, match="inside a stop band: alpha = [0-9.]+ Np/m at"):
             transition_frequency(cell, bracket=bracket)
+        # conductor loss does not hide the gap
+        with pytest.raises(BracketError, match="inside a stop band"):
+            transition_frequency(replace(cell, r_series=1.0), bracket=bracket)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_lossy_balanced_cell_keeps_its_transition(self, config, cells, n):
+        # loss gives alpha of about |beta| near the root (1-3e-2 Np/m here,
+        # 1 ohm/sq), far above the stop-band floor, yet there is no gap
+        g = replace(config.cell_geometry.idc, n_fingers=n)
+        r = extract(g, config.substrate, sheet_resistivity=1.0).r_series
+        lossy = replace(cells[n], r_series=r)
+        root = transition_frequency(lossy)
+        assert root == pytest.approx(config.targets[n], rel=1e-6)
+        assert bloch_gamma(lossy, root)[1] > 1e-3
 
     @settings(max_examples=150, deadline=None)
     @given(

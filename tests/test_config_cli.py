@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import os
@@ -677,6 +678,18 @@ class TestCliCommands:
         proc.stderr.close()
         assert proc.wait(timeout=60) == 1
         assert err == b""
+
+    def test_main_leaves_a_closed_stdout_to_its_caller(self, monkeypatch):
+        # in process, main neither swallows the error nor repoints fd 1
+        class Closed(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError
+
+        fd1 = os.fstat(1)
+        monkeypatch.setattr(sys, "stdout", Closed())
+        with pytest.raises(BrokenPipeError):
+            main(["dispersion", "--points", "7"])
+        assert os.path.samestat(os.fstat(1), fd1)
 
     def test_dispersion_runs_in_a_child_process(self, capsys):
         proc = run_python("-X", "importtime", "-m", "crlhkit.cli", "dispersion", "--points", "7")
