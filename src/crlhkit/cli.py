@@ -79,11 +79,16 @@ def _write_chunks(chunks, out_dir: str | None, filename: str) -> None:
 
 def _write_files(chunks, out_dir: str, filenames: list[str]) -> None:
     """Text chunks written to files under out_dir in turn: chunk i goes to
-    filenames[i % len(filenames)]."""
-    os.makedirs(out_dir, exist_ok=True)
+    filenames[i % len(filenames)]. A directory or file that cannot be made
+    is a CrlhError naming it; an error while writing, such as a closed
+    pipe, is left to the caller."""
     paths = [os.path.join(out_dir, name) for name in filenames]
     with contextlib.ExitStack() as stack:
-        files = [stack.enter_context(open(p, "w", encoding="utf-8", newline="")) for p in paths]
+        try:
+            os.makedirs(out_dir, exist_ok=True)
+            files = [stack.enter_context(open(p, "w", encoding="utf-8", newline="")) for p in paths]
+        except OSError as exc:
+            raise CrlhError(f"cannot write {exc.filename or out_dir}: {exc.strerror}") from None
         for i, chunk in enumerate(chunks):
             files[i % len(files)].write(chunk)
     for path in paths:
@@ -169,7 +174,7 @@ def cmd_cell_calibrate(config: RunConfig, args) -> int:
 
 
 def cmd_dispersion(config: RunConfig, args) -> int:
-    from .table import _dispersion_csv, _dispersion_json
+    from .table import _dispersion_csvs, _dispersion_json
 
     cell = config.cell()
     sweep = _sweep(cell, config)
@@ -179,7 +184,9 @@ def cmd_dispersion(config: RunConfig, args) -> int:
         )
     else:
         _write_chunks(
-            _dispersion_csv(sweep, cell.period), args.out, f"dispersion_{config.fingers}f.csv"
+            _dispersion_csvs([(sweep, cell.period)]),
+            args.out,
+            f"dispersion_{config.fingers}f.csv",
         )
     return 0
 

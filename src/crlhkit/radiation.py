@@ -89,60 +89,21 @@ def _crossing_angles(
     return angle
 
 
-def _as_slice(rows: np.ndarray) -> slice | np.ndarray:
-    """rows as the equal slice when they are evenly spaced, so that indexing
-    with them gives a view rather than a gathered copy; otherwise unchanged."""
-    if len(rows) > 1:
-        step = int(rows[1] - rows[0])
-        if step != 0 and (np.diff(rows) == step).all():
-            stop = int(rows[-1]) + step
-            return slice(int(rows[0]), stop if stop >= 0 else None, step)
-    return rows
-
-
-def _mirror_rows(sin_theta: np.ndarray, phase_step: np.ndarray):
-    """Split the angle rows into those that get their own steering phasors
-    and mirror rows, whose phasors are the conjugates of a source row's.
-
-    A row mirrors another when its sin theta is the exact negative of that
-    row's and the phase step k0 p sin theta of the source stays nonzero at
-    every frequency, since a zero phase has no sign to conjugate. Returns
-    (own, mirror, source), the last two paired up, each as a slice when it
-    can be one (_as_slice).
-    """
-    order = np.argsort(sin_theta, kind="stable")
-    ascending = sin_theta[order]
-    at = np.minimum(np.searchsorted(ascending, -sin_theta), len(ascending) - 1)
-    is_mirror = (
-        (sin_theta < 0.0)
-        & (ascending[at] == -sin_theta)
-        & (phase_step.min() * -sin_theta != 0.0)
-    )
-    mirror = np.flatnonzero(is_mirror)
-    own = np.flatnonzero(~is_mirror)
-    return _as_slice(own), _as_slice(mirror), _as_slice(order[at[mirror]])
-
-
 @functools.cache
 def _default_grid():
-    """theta and sin theta of the default grid, read-only, with the mirror
-    split _mirror_rows gives it for a phase step that keeps every nonzero
-    row's phase nonzero, and the smallest |sin theta| of a mirror row."""
+    """theta and sin theta of the default grid, read-only."""
     theta = default_theta_grid()
     sin_theta = np.sin(np.radians(theta))
-    split = _mirror_rows(sin_theta, np.ones(1))
-    for a in (theta, sin_theta, *split):
-        if isinstance(a, np.ndarray):
-            a.flags.writeable = False
-    return theta, sin_theta, split, float(-sin_theta[split[1]].max())
+    theta.flags.writeable = False
+    sin_theta.flags.writeable = False
+    return theta, sin_theta
 
 
 def _inputs(gamma, p, n_cells, f, theta_grid):
     """Validated inputs of array_factor and the arrays every evaluation of
-    them shares: (freqs, gammas, theta, sin_theta, phase_step, excitation,
-    split). phase_step is k0 p of each frequency, excitation the frequency x
-    cell array exp(-n gamma p), and split the (own, mirror, source) rows of
-    _mirror_rows."""
+    them shares: (freqs, gammas, theta, sin_theta, phase_step, excitation).
+    phase_step is k0 p of each frequency and excitation the frequency x
+    cell array exp(-n gamma p)."""
     freqs = np.asarray(f, dtype=float)
     gammas = np.asarray(gamma, dtype=complex)
     if freqs.ndim > 1 or gammas.shape != freqs.shape:
@@ -157,7 +118,7 @@ def _inputs(gamma, p, n_cells, f, theta_grid):
     if p <= 0.0:
         raise ValueError(f"period must be positive, got {p}")
     if theta_grid is None:
-        theta, sin_theta, split, least_sin = _default_grid()
+        theta, sin_theta = _default_grid()
     else:
         theta = np.asarray(theta_grid, dtype=float)
         if theta.ndim != 1 or len(theta) < 2 or not np.all(np.diff(theta) > 0.0):
@@ -172,53 +133,48 @@ def _inputs(gamma, p, n_cells, f, theta_grid):
     if not np.isfinite(phase_step).all():
         raise ValueError(f"k0 p must be finite, got {phase_step.max()} at period {p}")
     excitation = np.exp(-np.arange(n_cells) * gammas.reshape(-1, 1) * p)
-    # the default grid's split holds while no mirror row's phase step rounds to zero
-    if not (theta_grid is None and phase_step.min() * least_sin > 0.0):
-        split = _mirror_rows(sin_theta, phase_step)
-    return freqs, gammas, theta, sin_theta, phase_step, excitation, split
+    return freqs, gammas, theta, sin_theta, phase_step, excitation
 
 
-def _magnitudes(sin_theta, phase_step, excitation, splits) -> np.ndarray:
+def _magnitudes(sin_theta, phase_step, excitation, block_rows) -> np.ndarray:
     """|AF| of each frequency and angle row, as a frequency x angle array.
 
     The frequency x angle x cell steering tensor is built _BLOCK
-    frequencies at a time in one reused buffer. splits gives, for each
-    block in turn, the (own, mirror, source) rows to steer, as _mirror_rows
-    returns them. A row left out keeps the finite values the buffer already
-    holds, so its |AF| means nothing, but it still goes through the matmul:
-    the BLAS kernel rounds a row's sum differently depending on where the
-    row sits in the call, so every block keeps its full shape.
+    frequencies at a time in one reused buffer. block_rows gives, for each
+    block in turn, the angle rows to steer, as a slice or an index array.
+    A row left out keeps the finite values the buffer already holds, so
+    its |AF| means nothing, but it still goes through the matmul: the BLAS
+    kernel rounds a row's sum differently depending on where the row sits
+    in the call, so every block keeps its full shape.
     """
     n_cells = excitation.shape[1]
     n = np.arange(1, n_cells)
-    block_rows = min(_BLOCK, len(phase_step))
-    steering = np.zeros((block_rows, len(sin_theta), n_cells), dtype=complex)
+    block_size = min(_BLOCK, len(phase_step))
+    steering = np.zeros((block_size, len(sin_theta), n_cells), dtype=complex)
     steering.real[..., 0] = 1.0
-    # the phases and phasors of a block's own rows, sliced from buffers
+    # the phases and phasors of a block's steered rows, sliced from buffers
     # with room for every row
-    phase = np.zeros((block_rows, len(sin_theta), n_cells - 1), dtype=complex)
+    phase = np.zeros((block_size, len(sin_theta), n_cells - 1), dtype=complex)
     phasor = np.empty_like(phase)
-    field = np.empty((block_rows, len(sin_theta), 1), dtype=complex)
+    field = np.empty((block_size, len(sin_theta), 1), dtype=complex)
     magnitude = np.empty((len(phase_step), len(sin_theta)))
-    for lo, (own, mirror, source) in zip(range(0, len(phase_step), _BLOCK), splits):
+    for lo, rows in zip(range(0, len(phase_step), _BLOCK), block_rows):
         hi = min(lo + _BLOCK, len(phase_step))
         block = steering[: hi - lo]
         # Steering entry exp(j n k0 p sin theta) of angle row theta and cell
-        # n. Own rows take one complex exp per n >= 1, mirror rows the
-        # conjugate of their source row, and n = 0 is 1. The exp argument is
-        # the one the complex product (j k0 p sin theta) n gives: real part
-        # zero, imaginary part (k0 p sin theta + 0.0) n, so every entry
+        # n: one complex exp per n >= 1, and 1 for n = 0. The exp argument
+        # is the one the complex product (j k0 p sin theta) n gives: real
+        # part zero, imaginary part (k0 p sin theta + 0.0) n, so every entry
         # keeps its bits. + 0.0 as in that product: a zero phase is never
         # negative.
-        step = phase_step[lo:hi, None] * sin_theta[own] + 0.0
-        own_phase = phase[: hi - lo, : step.shape[1]]
-        own_phasor = phasor[: hi - lo, : step.shape[1]]
-        np.multiply(step[..., None], n, out=own_phase.imag)
-        np.exp(own_phase, out=own_phasor)
-        block[:, own, 1:] = own_phasor
+        step = phase_step[lo:hi, None] * sin_theta[rows] + 0.0
+        row_phase = phase[: hi - lo, : step.shape[1]]
+        row_phasor = phasor[: hi - lo, : step.shape[1]]
+        np.multiply(step[..., None], n, out=row_phase.imag)
+        np.exp(row_phase, out=row_phasor)
+        block[:, rows, 1:] = row_phasor
         # exp(j 0) = 1 with the zero imaginary part signed like the phase step
-        block.imag[:, own, 0] = step * 0.0
-        block[:, mirror] = np.conjugate(block[:, source])
+        block.imag[:, rows, 0] = step * 0.0
         np.matmul(block, excitation[lo:hi, :, None], out=field[: hi - lo])
         np.abs(field[: hi - lo, :, 0], out=magnitude[lo:hi])
     return magnitude
@@ -258,10 +214,8 @@ def array_factor(
     value each (floats come back) or 1-D arrays of one length, one
     pattern per frequency (arrays come back).
     """
-    freqs, _, theta, sin_theta, phase_step, excitation, split = _inputs(
-        gamma, p, n_cells, f, theta_grid
-    )
-    db = _to_db(_magnitudes(sin_theta, phase_step, excitation, itertools.repeat(split)))
+    freqs, _, theta, sin_theta, phase_step, excitation = _inputs(gamma, p, n_cells, f, theta_grid)
+    db = _to_db(_magnitudes(sin_theta, phase_step, excitation, itertools.repeat(slice(None))))
     main, width = _beam_angles(theta, db)
     if freqs.ndim == 0:
         return RadiationPattern(
@@ -343,25 +297,14 @@ def _beams(gamma, p, n_cells, f):
     """array_factor's main_beam_deg and beamwidth_3db_deg on the default
     grid, bit for bit, from exact |AF| on the few rows that can decide
     them; see beams_for_frequency."""
-    freqs, gammas, theta, sin_theta, phase_step, excitation, split = _inputs(
-        gamma, p, n_cells, f, None
-    )
+    freqs, gammas, theta, sin_theta, phase_step, excitation = _inputs(gamma, p, n_cells, f, None)
     exact, above = _screen(gammas.reshape(-1), p, n_cells, phase_step, sin_theta, excitation)
-    rows = np.arange(len(theta))
-    source_of = np.full(len(theta), -1)
-    source_of[rows[split[1]]] = rows[split[2]]
-
-    def block_splits():
-        # the rows any frequency of a block needs, each mirror row's source
-        # among its own rows
-        for lo in range(0, len(phase_step), _BLOCK):
-            need = exact[lo : lo + _BLOCK].any(axis=0)
-            mirror = np.flatnonzero(need & (source_of >= 0))
-            own = need & (source_of < 0)
-            own[source_of[mirror]] = True
-            yield np.flatnonzero(own), mirror, source_of[mirror]
-
-    magnitude = _magnitudes(sin_theta, phase_step, excitation, block_splits())
+    # the rows any frequency of a block needs
+    block_rows = (
+        np.flatnonzero(exact[lo : lo + _BLOCK].any(axis=0))
+        for lo in range(0, len(phase_step), _BLOCK)
+    )
+    magnitude = _magnitudes(sin_theta, phase_step, excitation, block_rows)
     stand_in = ~exact
     magnitude[stand_in] = 0.0
     db = _to_db(magnitude)

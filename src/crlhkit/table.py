@@ -252,12 +252,6 @@ def _dispersion_csvs(tables):
             yield text
 
 
-def _dispersion_csv(sweep: DispersionSweep, period: float):
-    """The dispersion table of one sweep as CSV text, header first, then
-    chunks of _CSV_CHUNK_ROWS rows."""
-    return _dispersion_csvs([(sweep, period)])
-
-
 def _json_float(x: float) -> str:
     """A finite float as the CLI's JSON writes it: rounded to '%.8e', then repr."""
     return repr(float("%.8e" % x))

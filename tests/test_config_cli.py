@@ -2,6 +2,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -528,6 +529,25 @@ class TestCliCommands:
         assert captured.err.startswith("error: ")
         assert not out.exists() or not list(out.glob("*.csv"))
 
+    @pytest.mark.parametrize(
+        "argv, out",
+        [
+            (["sweep"], "afile"),
+            (["pattern"], "afile"),
+            (["dispersion"], os.path.join("afile", "x")),
+        ],
+        ids=["sweep", "pattern", "dispersion"],
+    )
+    def test_out_that_cannot_be_a_directory_is_an_error(self, tmp_path, capsys, argv, out):
+        (tmp_path / "afile").write_text("kept\n")
+        out = str(tmp_path / out)
+        assert main([*argv, "--out", out]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith(f"error: cannot write {out}: ")
+        assert (tmp_path / "afile").read_text() == "kept\n"
+
     @pytest.mark.parametrize("leakage", ["nan", "inf"])
     @pytest.mark.parametrize("command", ["pattern", "sweep"])
     def test_non_finite_leakage_rejected(self, tmp_path, capsys, command, leakage):
@@ -612,6 +632,15 @@ class TestCliCommands:
         # it reads no input, so every run_all in a process shares one result
         first = selfcheck.check_elliptic_ratio()
         assert first[0] and selfcheck.check_elliptic_ratio() is first
+
+    def test_trace_identity_prints_rounding_noise_as_a_bound(self, config, cells, monkeypatch):
+        # the noise digits follow the platform's SIMD math; only a larger
+        # error is printed in full
+        ok, detail = selfcheck.check_trace_identity(config, cells)
+        assert ok and detail.startswith("worst relative error < 1e-12 over 20 ")
+        monkeypatch.setattr(selfcheck, "TRACE_NOISE", 0.0)
+        ok, detail = selfcheck.check_trace_identity(config, cells)
+        assert ok and re.match(r"worst relative error \d\.\d\de-\d\d over 20 ", detail)
 
     def test_reproduce_detects_detuned_substrate(self, tmp_path, capsys):
         path = write_cfg(tmp_path, "epsilon_r = 1.0\n")

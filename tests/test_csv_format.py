@@ -1,6 +1,6 @@
 """The dispersion CSV built column-wise against Python's `%` formatting.
 
-`_dispersion_csv` writes every float as `'%.8e' % v` would, but computes
+`_dispersion_csvs` writes every float as `'%.8e' % v` would, but computes
 the digits in numpy. The row template below is how the CSV was written one
 row at a time; it stays here as the oracle.
 """
@@ -20,7 +20,6 @@ from crlhkit.table import (
     _DISPERSION_HEADER,
     _csv_rows,
     _dispersion_columns,
-    _dispersion_csv,
     _dispersion_csvs,
 )
 from crlhkit.config import resolve_config
@@ -201,7 +200,7 @@ class TestDispersionCsv:
         for n in (2, 3, 4):
             cell = CONFIG.cell(n)
             sweep = dispersion_sweep(cell, CONFIG.f_start, CONFIG.f_stop, n_points)
-            chunks = list(_dispersion_csv(sweep, cell.period))
+            chunks = list(_dispersion_csvs([(sweep, cell.period)]))
             assert len(chunks) == 1 + -(-n_points // table._CSV_CHUNK_ROWS)
             assert "".join(chunks) == oracle_csv(sweep, cell.period)
 
@@ -221,7 +220,7 @@ class TestDispersionCsv:
         cell = perturbed(CONFIG.cell(n), scales, r_series)
         sweep = dispersion_sweep(cell, f_start, f_start * span, n_points)
         with mock.patch.object(table, "_CSV_CHUNK_ROWS", chunk_rows):
-            text = "".join(_dispersion_csv(sweep, cell.period))
+            text = "".join(_dispersion_csvs([(sweep, cell.period)]))
         assert text == oracle_csv(sweep, cell.period)
 
     @pytest.mark.parametrize("n_points", [451, 2 * CHUNK + 3])

@@ -25,7 +25,7 @@ DENSE_SWEEP_DIGESTS = {
     "dispersion_4f.csv": "53d081649d8bf14014ff9a00de6341ba0ee1d6ce5230fc705d73d1b2739c8bf4",
     "sweep_summary.json": "f2f38fb27c2580239b2381b418d8ca7a63a8278c14d03219ff091ecef75d194f",
 }
-REPRODUCE_JSON_DIGEST = "47bd231ee334c098364c57c766a8ce80cfa9087ad99a7ce9ad8ea5f475d3f032"
+REPRODUCE_JSON_DIGEST = "75e018f4e9cab0a2a99ce4a75660c82b273d62b681037899fd56ff3aa8b388d0"
 # stdout of `pattern` in its three output forms
 PATTERN_DIGESTS = {
     ("--format", "json", "--leakage"): "907bb4d1196ba74040ad04fdc6053ad461f681daa546cb1458ec8ddb8e6c7e25",

@@ -1,5 +1,4 @@
 import math
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,14 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import radiation_oracle
-from crlhkit import radiation
 from crlhkit.bloch import bloch_gamma, dispersion_sweep
 from crlhkit.geometry import C0
 from crlhkit.radiation import (
     _beams,
     _default_grid,
     _inputs,
-    _mirror_rows,
     _screen,
     array_factor,
     beams_for_frequency,
@@ -180,8 +177,8 @@ class TestBatchedArrayFactor:
 
 
 class TestMirroredSteering:
-    """array_factor takes one exp per own row and fills mirror rows with
-    conjugates; every grid below must still match the oracle bit for bit."""
+    """array_factor takes one exp per steering entry; every grid below,
+    mirror-symmetric or not, must match the oracle bit for bit."""
 
     FREQS = np.array([8.2e9, 9.0e9, F0, 9.9e9, 10.7e9, 12.5e9])
     GAMMAS = np.array([0.3j, 15.6 - 110.0j, 0j, 15.6 + 40.0j, 2.0 + 160.0j, 15.6 - 260.0j])
@@ -202,24 +199,13 @@ class TestMirroredSteering:
         pats = array_factor(self.GAMMAS, P, n_cells, self.FREQS, grid)
         assert_rows_match_one_at_a_time(pats, self.GAMMAS.tolist(), P, n_cells)
 
-    def test_default_grid_mirrors_every_negative_angle(self):
-        sin_theta = np.sin(np.radians(default_theta_grid()))
-        own, mirror, source = _mirror_rows(sin_theta, np.array([0.6]))
-        rows = np.arange(len(sin_theta))
-        assert rows[own].tolist() == list(range(360, 721))
-        assert np.array_equal(sin_theta[mirror], -sin_theta[source])
-        assert (sin_theta[mirror] < 0.0).all() and len(rows[mirror]) == 360
-
-    @pytest.mark.parametrize("phase_step", [1e-300, 0.03, 0.6, 40.0, 1e300])
-    def test_cached_default_split_equals_a_fresh_one(self, phase_step):
-        theta, sin_theta, split, least_sin = _default_grid()
-        assert np.array_equal(theta, default_theta_grid())
-        assert np.array_equal(sin_theta, np.sin(np.radians(default_theta_grid())))
-        assert phase_step * least_sin > 0.0
-        fresh = _mirror_rows(sin_theta, np.array([phase_step]))
-        rows = np.arange(len(theta))
-        for cached, row in zip(split, fresh):
-            assert np.array_equal(rows[cached], rows[row])
+    def test_phase_that_rounds_to_zero_matches_the_oracle(self):
+        # at 1e-312 Hz, k0 p is ~7e-323 and k0 p sin theta rounds to zero
+        # near broadside, where the signed zero of each phase must be kept
+        gamma, f = np.array([0.3j, 0j]), np.array([1e-312, 1e-312])
+        phase_step = 2.0 * math.pi * f[0] / C0 * P
+        assert phase_step * math.sin(math.radians(0.25)) == 0.0
+        assert_rows_match_one_at_a_time(array_factor(gamma, P, 8, f), gamma.tolist(), P, 8)
 
     def test_cached_default_grid_is_read_only(self):
         pat = array_factor(0.3j, P, 8, F0)
@@ -227,30 +213,7 @@ class TestMirroredSteering:
         with pytest.raises(ValueError, match="read-only"):
             pat.theta_deg[0] = 0.0
         assert not _default_grid()[1].flags.writeable
-
-    def test_default_grid_falls_back_when_a_mirror_phase_rounds_to_zero(self):
-        # at 1e-312 Hz, k0 p is ~7e-323 and k0 p sin(0.25 deg) rounds to
-        # zero, so the rows near broadside must not be mirrored: the cached
-        # split does not hold, and the call works out its own
-        gamma, f = np.array([0.3j]), np.array([1e-312])
-        phase_step = np.array([2.0 * math.pi * f[0] / 299792458.0 * P])
-        assert phase_step[0] * _default_grid()[3] == 0.0
-        rows = np.arange(len(default_theta_grid()))
-        assert len(rows[_mirror_rows(_default_grid()[1], phase_step)[1]]) < 360
-        with mock.patch.object(radiation, "_mirror_rows", wraps=radiation._mirror_rows) as split:
-            array_factor(0.3j, P, 8, F0)
-            assert split.call_count == 0
-            pats = array_factor(gamma, P, 8, f)
-            assert split.call_count == 1
-        assert_rows_match_one_at_a_time(pats, gamma.tolist(), P, 8)
-
-    def test_pair_whose_phase_rounds_to_zero_is_not_mirrored(self):
-        # sin theta = +-5e-324: k0 p sin theta is zero at 5 GHz, and a zero
-        # phase has no sign to conjugate
-        sin_theta = np.sin(np.radians(np.array([-3e-322, 3e-322])))
-        for f, mirrored in ((5e9, 0), (F0, 1)):
-            phase_step = np.array([2.0 * math.pi * f / 299792458.0 * P])
-            assert len(_mirror_rows(sin_theta, phase_step)[1]) == mirrored
+        assert np.array_equal(_default_grid()[1], np.sin(np.radians(default_theta_grid())))
 
     def test_non_finite_grid_or_phase_rejected(self):
         with pytest.raises(ValueError, match="finite"):
@@ -261,7 +224,7 @@ class TestMirroredSteering:
 
 def exact_rows(gamma, p, n_cells, f):
     """The rows per frequency that _beams evaluates exactly."""
-    _, gammas, _, sin_theta, phase_step, excitation, _ = _inputs(gamma, p, n_cells, f, None)
+    _, gammas, _, sin_theta, phase_step, excitation = _inputs(gamma, p, n_cells, f, None)
     exact, _ = _screen(gammas.reshape(-1), p, n_cells, phase_step, sin_theta, excitation)
     return exact.sum(axis=1)
 
@@ -357,16 +320,6 @@ class TestBeams:
         gamma, f = np.array([0.3j, 0.3j]), np.array([1e14, F0])
         assert exact_rows(gamma, P, 40, f).tolist()[0] == 721
         assert_rows_match_one_at_a_time(array_factor(gamma, P, 40, f), gamma.tolist(), P, 40)
-
-    def test_mirror_split_fallback(self):
-        # at 1e-312 Hz the cached mirror split does not hold (see
-        # TestMirroredSteering); _beams takes the fresh one too
-        gamma, f = np.array([0.3j, 0.0j]), np.array([1e-312, 1e-312])
-        with mock.patch.object(radiation, "_mirror_rows", wraps=radiation._mirror_rows) as split:
-            beams, widths = _beams(gamma, P, 8, f)
-            assert split.call_count == 1
-        pats = array_factor(gamma, P, 8, f)
-        assert (beams == pats.main_beam_deg).all() and (widths == pats.beamwidth_3db_deg).all()
 
 
 class TestPatternForFrequency:
