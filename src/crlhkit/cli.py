@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import itertools
 import math
 import os
 import sys
@@ -74,23 +75,34 @@ def _write_chunks(chunks, out_dir: str | None, filename: str) -> None:
         for chunk in chunks:
             sys.stdout.write(chunk)
         return
-    _write_files(chunks, out_dir, [filename])
+    _write_files(((0, chunk) for chunk in chunks), out_dir, [filename])
 
 
 def _write_files(chunks, out_dir: str, filenames: list[str]) -> None:
-    """Text chunks written to files under out_dir in turn: chunk i goes to
-    filenames[i % len(filenames)]. A directory or file that cannot be made
-    is a CrlhError naming it; an error while writing, such as a closed
-    pipe, is left to the caller."""
+    """(i, text) chunks written to files under out_dir, text going to
+    filenames[i]; the paths are printed once all are written. Every file
+    is opened before any is written: a directory or file that cannot be
+    made is a CrlhError naming it, and the files this call created are
+    removed again. An error while writing, such as a closed pipe, is left
+    to the caller."""
     paths = [os.path.join(out_dir, name) for name in filenames]
+    created = []
     with contextlib.ExitStack() as stack:
         try:
             os.makedirs(out_dir, exist_ok=True)
-            files = [stack.enter_context(open(p, "w", encoding="utf-8", newline="")) for p in paths]
+            files = []
+            for path in paths:
+                existed = os.path.lexists(path)
+                files.append(stack.enter_context(open(path, "w", encoding="utf-8", newline="")))
+                if not existed:
+                    created.append(path)
         except OSError as exc:
+            stack.close()
+            for path in created:
+                os.remove(path)
             raise CrlhError(f"cannot write {exc.filename or out_dir}: {exc.strerror}") from None
-        for i, chunk in enumerate(chunks):
-            files[i % len(files)].write(chunk)
+        for i, chunk in chunks:
+            files[i].write(chunk)
     for path in paths:
         print(path)
 
@@ -252,7 +264,8 @@ def cmd_pattern(config: RunConfig, args) -> int:
         }
         _write_text(_dumps(doc), args.out, f"pattern_{config.fingers}f.json")
         return 0
-    for f, name, db in zip(freqs, names, pats.magnitude_db.tolist()):
+    texts = []
+    for db in pats.magnitude_db.tolist():
         if args.polar_data:
             header = ["theta_rad", "magnitude_linear"]
             rows = [
@@ -261,10 +274,18 @@ def cmd_pattern(config: RunConfig, args) -> int:
         else:
             header = ["theta_deg", "magnitude_db"]
             rows = [[fmt(t), fmt(m)] for t, m in zip(theta, db)]
-        if args.out is None:
-            sys.stdout.write(f"# f_Hz = {fmt(f)}\n")
-        _write_text(_csv_text(header, rows), args.out, name)
-    _write_text(_dumps(summary), args.out, f"pattern_{config.fingers}f_summary.json")
+        texts.append(_csv_text(header, rows))
+    summary_text = _dumps(summary) + "\n"
+    if args.out is None:
+        for f, text in zip(freqs, texts):
+            sys.stdout.write(f"# f_Hz = {fmt(f)}\n{text}")
+        sys.stdout.write(summary_text)
+        return 0
+    _write_files(
+        enumerate([*texts, summary_text]),
+        args.out,
+        [*names, f"pattern_{config.fingers}f_summary.json"],
+    )
     return 0
 
 
@@ -290,12 +311,6 @@ def cmd_sweep(config: RunConfig, args) -> int:
         )
         solved[n] = cell, f0, sweep, broadside
     csv_names = {n: f"dispersion_{n}f.csv" for n in solved}
-    # the states share one grid, so their CSVs are written chunk by chunk in turn
-    _write_files(
-        _dispersion_csvs([(sweep, cell.period) for cell, _, sweep, _ in solved.values()]),
-        out_dir,
-        list(csv_names.values()),
-    )
     states = {}
     for n, (cell, f0, sweep, (beam, width)) in solved.items():
         angles = sweep.scan_deg[sweep.leaky]
@@ -316,7 +331,17 @@ def cmd_sweep(config: RunConfig, args) -> int:
         "states": states,
     }
     text = _dumps(summary)
-    _write_text(text, out_dir, "sweep_summary.json")
+    # the states share one grid, so their CSVs are written chunk by chunk
+    # in turn, and the summary last
+    csvs = _dispersion_csvs([(sweep, cell.period) for cell, _, sweep, _ in solved.values()])
+    _write_files(
+        itertools.chain(
+            ((i % len(csv_names), chunk) for i, chunk in enumerate(csvs)),
+            [(len(csv_names), text + "\n")],
+        ),
+        out_dir,
+        [*csv_names.values(), "sweep_summary.json"],
+    )
     if args.out is None:
         sys.stdout.write(text + "\n")
     return 0

@@ -9,7 +9,6 @@ are array-factor dominated, so no element pattern is applied.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -30,14 +29,12 @@ _BLOCK = 4
 # The beam screen (_screen): its margin relative to sum r^n, the half-power
 # ratio 10^(-3/20), the limit on N (k0 p + |beta p|) below which the
 # screen's and the exact sum's rounding stay far inside that margin (both
-# are of order N (k0 p + |beta p|) eps sum r^n), the denominator below
-# which the closed form is taken at its limit, and the dB value that
-# stands in for a row surely above -3 dB.
+# are of order N (k0 p + |beta p|) eps sum r^n), and the denominator below
+# which the closed form is taken at its limit.
 _SCREEN_MARGIN = 1e-9
 _HALF_POWER = 10.0 ** (-3.0 / 20.0)
 _SCREEN_PHASE_LIMIT = 1e5
 _SCREEN_TINY = 1e-150
-_ABOVE_DB = -1.5
 
 
 def default_theta_grid() -> np.ndarray:
@@ -62,31 +59,6 @@ class RadiationPattern:
     magnitude_db: np.ndarray
     main_beam_deg: float | np.ndarray
     beamwidth_3db_deg: float | np.ndarray
-
-
-def _crossing_angles(
-    theta: np.ndarray, db: np.ndarray, i_peak: np.ndarray, step: int
-) -> np.ndarray:
-    """First -3 dB crossing of each row of db, walking from its peak in one direction.
-
-    The crossing lies between the first sample past the peak that is not
-    above -3 dB and its neighbour toward the peak, linearly interpolated.
-    A row that never drops that far falls back to the grid edge.
-    """
-    idx = np.arange(db.shape[1])
-    ahead = idx > i_peak[:, None] if step > 0 else idx < i_peak[:, None]
-    past = ~(db > -3.0) & ahead
-    if step > 0:
-        j2 = past.argmax(axis=1)
-    else:
-        j2 = db.shape[1] - 1 - past[:, ::-1].argmax(axis=1)
-    angle = np.full(len(db), theta[-1 if step > 0 else 0])
-    rows = np.flatnonzero(past[np.arange(len(db)), j2])
-    j2 = j2[rows]
-    j = j2 - step
-    frac = (-3.0 - db[rows, j]) / (db[rows, j2] - db[rows, j])
-    angle[rows] = theta[j] + frac * (theta[j2] - theta[j])
-    return angle
 
 
 @functools.cache
@@ -132,72 +104,122 @@ def _inputs(gamma, p, n_cells, f, theta_grid):
         phase_step = k0 * p
     if not np.isfinite(phase_step).all():
         raise ValueError(f"k0 p must be finite, got {phase_step.max()} at period {p}")
-    excitation = np.exp(-np.arange(n_cells) * gammas.reshape(-1, 1) * p)
+    if not np.isfinite(gammas).all():
+        raise ValueError(f"gamma must be finite, got {gammas[~np.isfinite(gammas)].flat[0]}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        excitation = np.exp(-np.arange(n_cells) * gammas.reshape(-1, 1) * p)
+        total = np.abs(excitation).sum(axis=1)
+    if not np.isfinite(total).all():
+        i = np.flatnonzero(~np.isfinite(total))[0]
+        raise ValueError(
+            f"sum of |exp(-n gamma p)| over {n_cells} cells must be finite, got {total[i]} "
+            f"at gamma {gammas.reshape(-1)[i]} and period {p}"
+        )
     return freqs, gammas, theta, sin_theta, phase_step, excitation
 
 
-def _magnitudes(sin_theta, phase_step, excitation, block_rows) -> np.ndarray:
-    """|AF| of each frequency and angle row, as a frequency x angle array.
+def _steer(phase_step, sin_theta, out: np.ndarray) -> None:
+    """Steering entries exp(j n k0 p sin theta) of cells n = 0 .. N-1 into
+    out[..., n], for k0 p from phase_step and sin theta from sin_theta,
+    broadcast to out.shape[:-1].
 
-    The frequency x angle x cell steering tensor is built _BLOCK
-    frequencies at a time in one reused buffer. block_rows gives, for each
-    block in turn, the angle rows to steer, as a slice or an index array.
-    A row left out keeps the finite values the buffer already holds, so
-    its |AF| means nothing, but it still goes through the matmul: the BLAS
-    kernel rounds a row's sum differently depending on where the row sits
-    in the call, so every block keeps its full shape.
+    One complex exp per n >= 1, and 1 for n = 0. The exp argument is the
+    one the complex product (j k0 p sin theta) n gives: real part zero,
+    imaginary part (k0 p sin theta + 0.0) n, so every entry keeps its bits.
+    + 0.0 as in that product: a zero phase is never negative.
     """
-    n_cells = excitation.shape[1]
-    n = np.arange(1, n_cells)
-    block_size = min(_BLOCK, len(phase_step))
-    steering = np.zeros((block_size, len(sin_theta), n_cells), dtype=complex)
-    steering.real[..., 0] = 1.0
-    # the phases and phasors of a block's steered rows, sliced from buffers
-    # with room for every row
-    phase = np.zeros((block_size, len(sin_theta), n_cells - 1), dtype=complex)
-    phasor = np.empty_like(phase)
-    field = np.empty((block_size, len(sin_theta), 1), dtype=complex)
+    step = np.multiply(phase_step, sin_theta)
+    step += 0.0
+    phase = np.zeros((*out.shape[:-1], out.shape[-1] - 1), dtype=complex)
+    np.multiply(step[..., None], np.arange(1, out.shape[-1]), out=phase.imag)
+    np.exp(phase, out=out[..., 1:])
+    out.real[..., 0] = 1.0
+    # exp(j 0) = 1 with the zero imaginary part signed like the phase step
+    out.imag[..., 0] = step * 0.0
+
+
+def _block_fields(excitation: np.ndarray, n_rows: int, steer):
+    """AF of n_rows angle rows at every frequency, _BLOCK frequencies at a
+    time: steer(lo, hi, block) writes the steering entries of frequencies
+    lo:hi into block, a hi - lo x n_rows x cell buffer reused from block to
+    block. Yields (lo, hi, field), field being that block's frequency x
+    angle AF, overwritten by the next block.
+
+    Every block is multiplied in its full shape, whichever rows steer
+    wrote: the BLAS kernel picked for a product depends on its shape, and
+    with it the rounding of a row's sum. Measured with scipy-openblas, a
+    one-row product disagreed with the 721-row call in 1,462 of 1,600
+    values, while products of 2 to 33 selected rows matched it in all
+    139,200; that rests on one BLAS build, so no row set is multiplied on
+    its own.
+    """
+    n_freqs, n_cells = excitation.shape
+    block_size = min(_BLOCK, n_freqs)
+    steering = np.zeros((block_size, n_rows, n_cells), dtype=complex)
+    field = np.empty((block_size, n_rows, 1), dtype=complex)
+    for lo in range(0, n_freqs, _BLOCK):
+        hi = min(lo + _BLOCK, n_freqs)
+        steer(lo, hi, steering[: hi - lo])
+        np.matmul(steering[: hi - lo], excitation[lo:hi, :, None], out=field[: hi - lo])
+        yield lo, hi, field[: hi - lo, :, 0]
+
+
+def _magnitudes(sin_theta, phase_step, excitation) -> np.ndarray:
+    """|AF| of each frequency and angle row, as a frequency x angle array."""
+
+    def steer(lo, hi, block):
+        _steer(phase_step[lo:hi, None], sin_theta, block)
+
     magnitude = np.empty((len(phase_step), len(sin_theta)))
-    for lo, rows in zip(range(0, len(phase_step), _BLOCK), block_rows):
-        hi = min(lo + _BLOCK, len(phase_step))
-        block = steering[: hi - lo]
-        # Steering entry exp(j n k0 p sin theta) of angle row theta and cell
-        # n: one complex exp per n >= 1, and 1 for n = 0. The exp argument
-        # is the one the complex product (j k0 p sin theta) n gives: real
-        # part zero, imaginary part (k0 p sin theta + 0.0) n, so every entry
-        # keeps its bits. + 0.0 as in that product: a zero phase is never
-        # negative.
-        step = phase_step[lo:hi, None] * sin_theta[rows] + 0.0
-        row_phase = phase[: hi - lo, : step.shape[1]]
-        row_phasor = phasor[: hi - lo, : step.shape[1]]
-        np.multiply(step[..., None], n, out=row_phase.imag)
-        np.exp(row_phase, out=row_phasor)
-        block[:, rows, 1:] = row_phasor
-        # exp(j 0) = 1 with the zero imaginary part signed like the phase step
-        block.imag[:, rows, 0] = step * 0.0
-        np.matmul(block, excitation[lo:hi, :, None], out=field[: hi - lo])
-        np.abs(field[: hi - lo, :, 0], out=magnitude[lo:hi])
+    for lo, hi, field in _block_fields(excitation, len(sin_theta), steer):
+        np.abs(field, out=magnitude[lo:hi])
     return magnitude
 
 
-def _to_db(magnitude: np.ndarray) -> np.ndarray:
-    """Each row of |AF| to dB in place, 20 log10(max(|AF|, floor) / peak),
-    so that its peak sits at 0 dB exactly."""
-    peak = magnitude.max(axis=1, keepdims=True)
-    np.maximum(magnitude, peak * _NULL_FLOOR, out=magnitude)
-    magnitude /= peak
-    np.log10(magnitude, out=magnitude)
-    magnitude *= 20.0
-    magnitude -= magnitude.max(axis=1, keepdims=True)
-    return magnitude
+def _crossing_angles(theta_at, db, j2, step, edge) -> np.ndarray:
+    """-3 dB crossing of each frequency between sample j2, the first past
+    its peak (walking by step) that is not above -3 dB, and its neighbour
+    j2 - step toward the peak, linearly interpolated; edge where j2 is out
+    of range, the cut never dropping that far."""
+    angle = np.full(len(j2), edge)
+    hit = np.flatnonzero((j2 >= 0) & (j2 < len(db)))
+    j2 = j2[hit]
+    j = j2 - step
+    frac = (-3.0 - db[j]) / (db[j2] - db[j])
+    angle[hit] = theta_at[j] + frac * (theta_at[j2] - theta_at[j])
+    return angle
 
 
-def _beam_angles(theta: np.ndarray, db: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(main beam, -3 dB beamwidth) of each row of db: the grid argmax and
-    the width between the crossings on either side of it."""
-    i_peak = np.argmax(db, axis=1)
-    width = _crossing_angles(theta, db, i_peak, +1) - _crossing_angles(theta, db, i_peak, -1)
-    return theta[i_peak], width
+def _db_and_beams(theta, theta_at, magnitude, bounds):
+    """(dB, main beam, -3 dB width) of cuts given as runs of samples.
+
+    Frequency i owns samples bounds[i]:bounds[i + 1], at least one, in
+    increasing angle; theta_at and magnitude hold each sample's angle and
+    |AF|. Each cut goes to dB as 20 log10(max(|AF|, floor) / peak) minus
+    its largest value, so that its peak sits at 0 dB exactly; its main
+    beam is its first sample at that peak, and its width lies between the
+    -3 dB crossings on either side, falling back to the grid edges of
+    theta. On a whole cut this is the plain argmax and walk outward.
+    """
+    starts = bounds[:-1]
+    counts = np.diff(bounds)
+    peak = np.repeat(np.maximum.reduceat(magnitude, starts), counts)
+    db = np.maximum(magnitude, peak * _NULL_FLOOR)
+    db /= peak
+    np.log10(db, out=db)
+    db *= 20.0
+    top = np.repeat(np.maximum.reduceat(db, starts), counts)
+    idx = np.arange(len(db))
+    i_peak = np.minimum.reduceat(np.where(db == top, idx, len(db)), starts)
+    db -= top
+    past = ~(db > -3.0)
+    own_peak = np.repeat(i_peak, counts)
+    right = np.minimum.reduceat(np.where(past & (idx > own_peak), idx, len(db)), starts)
+    left = np.maximum.reduceat(np.where(past & (idx < own_peak), idx, -1), starts)
+    width = _crossing_angles(theta_at, db, right, +1, theta[-1]) - _crossing_angles(
+        theta_at, db, left, -1, theta[0]
+    )
+    return db, theta_at[i_peak], width
 
 
 def array_factor(
@@ -215,8 +237,14 @@ def array_factor(
     pattern per frequency (arrays come back).
     """
     freqs, _, theta, sin_theta, phase_step, excitation = _inputs(gamma, p, n_cells, f, theta_grid)
-    db = _to_db(_magnitudes(sin_theta, phase_step, excitation, itertools.repeat(slice(None))))
-    main, width = _beam_angles(theta, db)
+    magnitude = _magnitudes(sin_theta, phase_step, excitation)
+    db, main, width = _db_and_beams(
+        theta,
+        np.tile(theta, len(phase_step)),
+        magnitude.reshape(-1),
+        np.arange(0, magnitude.size + 1, len(theta)),
+    )
+    db = db.reshape(magnitude.shape)
     if freqs.ndim == 0:
         return RadiationPattern(
             f=float(freqs),
@@ -238,9 +266,22 @@ def _beside(rows: np.ndarray) -> np.ndarray:
     return out
 
 
+def _sin_squared(x: np.ndarray) -> np.ndarray:
+    """sin^2 x in place, as 1 / (1 + 1 / tan^2 x): numpy's float64 tan is
+    vectorized here and its sin is not (about 2 against 13 ns a value).
+    tan x = 0 gives 1 / inf = 0, and near pi/2 1 / tan^2 x vanishes
+    against 1."""
+    with np.errstate(divide="ignore"):
+        np.tan(x, out=x)
+        x *= x
+        np.reciprocal(x, out=x)
+        x += 1.0
+        np.reciprocal(x, out=x)
+    return x
+
+
 def _screen(gammas, p, n_cells, phase_step, sin_theta, excitation):
-    """(exact, above): frequency x angle masks of the rows _beams evaluates
-    exactly and of the rows whose |AF| is surely above -3 dB.
+    """Frequency x angle mask of the rows _beams evaluates exactly.
 
     The estimate is the geometric series in closed form (Balanis, Antenna
     Theory, 3rd ed., sec. 6.3): with r = exp(-alpha p) and psi = k0 p sin
@@ -268,8 +309,7 @@ def _screen(gammas, p, n_cells, phase_step, sin_theta, excitation):
         half -= num
         np.multiply(half, n_cells, out=num)
         for x, r_p in ((num, n_cells * alpha_p), (half, alpha_p)):
-            np.sin(x, out=x)
-            x *= x
+            _sin_squared(x)
             x *= 4.0 * np.exp(-r_p)
             x += np.expm1(-r_p) ** 2
         den = half
@@ -290,7 +330,26 @@ def _screen(gammas, p, n_cells, phase_step, sin_theta, excitation):
     below = estimate < (top - margin) * _HALF_POWER * (1.0 - 1e-9) - margin
     exact = peak | ~(above | below) | (_beside(above | peak) & ~above)
     exact |= _beside(exact)
-    return exact, above
+    return exact
+
+
+def _pair_magnitudes(fi, ri, bounds, sin_theta, phase_step, excitation) -> np.ndarray:
+    """|AF| at each (frequency fi, angle row ri) pair, the pairs of
+    frequency i being bounds[i]:bounds[i + 1]: one exp per steering entry
+    of the pairs, each block's buffer written at its own pairs only, and
+    |AF| read back there."""
+    steering = np.empty((len(fi), excitation.shape[1]), dtype=complex)
+    _steer(phase_step[fi], sin_theta[ri], steering)
+    magnitude = np.empty(len(fi))
+
+    def steer(lo, hi, block):
+        k = slice(bounds[lo], bounds[hi])
+        block[fi[k] - lo, ri[k]] = steering[k]
+
+    for lo, hi, field in _block_fields(excitation, len(sin_theta), steer):
+        k = slice(bounds[lo], bounds[hi])
+        np.abs(field[fi[k] - lo, ri[k]], out=magnitude[k])
+    return magnitude
 
 
 def _beams(gamma, p, n_cells, f):
@@ -298,19 +357,11 @@ def _beams(gamma, p, n_cells, f):
     grid, bit for bit, from exact |AF| on the few rows that can decide
     them; see beams_for_frequency."""
     freqs, gammas, theta, sin_theta, phase_step, excitation = _inputs(gamma, p, n_cells, f, None)
-    exact, above = _screen(gammas.reshape(-1), p, n_cells, phase_step, sin_theta, excitation)
-    # the rows any frequency of a block needs
-    block_rows = (
-        np.flatnonzero(exact[lo : lo + _BLOCK].any(axis=0))
-        for lo in range(0, len(phase_step), _BLOCK)
-    )
-    magnitude = _magnitudes(sin_theta, phase_step, excitation, block_rows)
-    stand_in = ~exact
-    magnitude[stand_in] = 0.0
-    db = _to_db(magnitude)
-    db[stand_in] = -np.inf
-    db[stand_in & above] = _ABOVE_DB
-    main, width = _beam_angles(theta, db)
+    exact = _screen(gammas.reshape(-1), p, n_cells, phase_step, sin_theta, excitation)
+    fi, ri = np.divmod(np.flatnonzero(exact), exact.shape[1])
+    bounds = np.searchsorted(fi, np.arange(len(phase_step) + 1))
+    magnitude = _pair_magnitudes(fi, ri, bounds, sin_theta, phase_step, excitation)
+    _, main, width = _db_and_beams(theta, theta[ri], magnitude, bounds)
     if freqs.ndim == 0:
         return float(main[0]), float(width[0])
     return main, width
@@ -364,13 +415,16 @@ def beams_for_frequency(
     peak candidates, within twice the margin m = 1e-9 sum r^n of the
     largest estimate; every row the margin leaves undecided against -3 dB;
     the rows beside a surely-above row or a peak candidate; and the
-    neighbours of all of those. Only those rows get exact |AF|, computed by
-    array_factor's own steering, matmul and dB steps; the others stand in
-    as a value between -3 and 0 dB when surely above, -inf otherwise, and
-    the same argmax and crossing walk then run. The matmul keeps its full
-    block shape, with the rows left out holding stale finite values,
-    because the BLAS kernel rounds a row differently depending on where it
-    sits in the call. A flat cut, such as one cell, has every row exact.
+    neighbours of all of those. Only those (frequency, row) pairs are
+    steered, multiplied and taken to dB, with array_factor's own steering,
+    matmul and dB steps, and the argmax and crossing walk run over the
+    pairs alone. That is exact because the screen's rules always make
+    three rows of each cut exact: the argmax row (every row tied with it
+    too), and on each side the first row past it that is not above -3 dB,
+    with that row's neighbour toward the peak. Every row between the peak
+    and that first row is above -3 dB, so the first such pair is that row,
+    and the pair before it is its neighbour. A flat cut, such as one cell,
+    has every row exact.
     """
     gamma = _gamma_for(cell, f, leakage_np_per_cell)
     return _beams(gamma, cell.period, n_cells, f)

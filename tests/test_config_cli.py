@@ -530,6 +530,23 @@ class TestCliCommands:
         assert not out.exists() or not list(out.glob("*.csv"))
 
     @pytest.mark.parametrize(
+        "argv, last",
+        [(["sweep"], "sweep_summary.json"), (["pattern"], "pattern_4f_summary.json")],
+        ids=["sweep", "pattern"],
+    )
+    def test_late_file_that_cannot_be_opened_leaves_no_output(
+        self, tmp_path, capsys, argv, last
+    ):
+        # the summary, written last, names an existing directory
+        out = tmp_path / "out"
+        (out / last).mkdir(parents=True)
+        assert main([*argv, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: cannot write {out / last}: Is a directory\n"
+        assert [path.name for path in out.iterdir()] == [last]
+
+    @pytest.mark.parametrize(
         "argv, out",
         [
             (["sweep"], "afile"),

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import radiation_oracle
+from crlhkit import radiation
 from crlhkit.bloch import bloch_gamma, dispersion_sweep
 from crlhkit.geometry import C0
 from crlhkit.radiation import (
@@ -13,6 +15,7 @@ from crlhkit.radiation import (
     _default_grid,
     _inputs,
     _screen,
+    _sin_squared,
     array_factor,
     beams_for_frequency,
     default_theta_grid,
@@ -215,6 +218,22 @@ class TestMirroredSteering:
         assert not _default_grid()[1].flags.writeable
         assert np.array_equal(_default_grid()[1], np.sin(np.radians(default_theta_grid())))
 
+    @pytest.mark.parametrize(
+        "gamma, match",
+        [
+            (complex(math.nan, 0.0), "gamma must be finite, got \\(nan"),
+            (complex(0.0, math.inf), "gamma must be finite, got infj"),
+            (-1e5 + 0j, "finite, got inf at gamma \\(-100000"),
+        ],
+        ids=["nan", "inf", "growing"],
+    )
+    def test_non_finite_excitation_rejected(self, gamma, match):
+        # a wave growing at 1e5 Np/m over 8 cells of 3.2 mm: exp(-n gamma p)
+        # overflows, and every |AF| would be NaN
+        for call in (array_factor, _beams):
+            with pytest.raises(ValueError, match=match):
+                call(np.array([0.3j, gamma]), P, 8, np.array([F0, F0]))
+
     def test_non_finite_grid_or_phase_rejected(self):
         with pytest.raises(ValueError, match="finite"):
             array_factor(0.0j, P, 8, F0, theta_grid=np.array([0.0, np.inf]))
@@ -225,7 +244,7 @@ class TestMirroredSteering:
 def exact_rows(gamma, p, n_cells, f):
     """The rows per frequency that _beams evaluates exactly."""
     _, gammas, _, sin_theta, phase_step, excitation = _inputs(gamma, p, n_cells, f, None)
-    exact, _ = _screen(gammas.reshape(-1), p, n_cells, phase_step, sin_theta, excitation)
+    exact = _screen(gammas.reshape(-1), p, n_cells, phase_step, sin_theta, excitation)
     return exact.sum(axis=1)
 
 
@@ -258,6 +277,52 @@ class TestBeams:
         beams, widths = _beams(gamma, p, n_cells, f)
         assert (beams == pats.main_beam_deg).all()
         assert (widths == pats.beamwidth_3db_deg).all()
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        n_freqs=st.integers(min_value=1, max_value=20),
+        n_cells=st.integers(min_value=1, max_value=79),
+        log_p=st.floats(min_value=math.log(0.3e-3), max_value=math.log(50e-3)),
+    )
+    def test_equals_array_factor_across_bands_and_periods(self, seed, n_freqs, n_cells, log_p):
+        # 0.1-50 GHz on 0.3-50 mm periods, from an aperture of a fraction of
+        # a wavelength to one with many grating lobes, and growing waves
+        rng = np.random.default_rng(seed)
+        f = np.exp(rng.uniform(math.log(1e8), math.log(5e10), n_freqs))
+        beta = rng.uniform(-1.3, 1.3, n_freqs) * (2.0 * math.pi * f / C0)
+        alpha = np.where(rng.random(n_freqs) < 0.3, 0.0, rng.uniform(-0.5, 30.0, n_freqs))
+        gamma = alpha + 1j * beta
+        pats = array_factor(gamma, math.exp(log_p), n_cells, f)
+        beams, widths = _beams(gamma, math.exp(log_p), n_cells, f)
+        assert (beams == pats.main_beam_deg).all()
+        assert (widths == pats.beamwidth_3db_deg).all()
+
+    def test_crossings_beyond_the_grid_fall_back_to_its_edges(self):
+        # four cells are too short an aperture to fall 3 dB inside the grid
+        assert _beams(0j, P, 4, F0) == (0.0, 180.0)
+        assert array_factor(0j, P, 4, F0).beamwidth_3db_deg == 180.0
+
+    def test_steers_only_the_screened_pairs(self):
+        f = np.linspace(8.8e9, 9.9e9, 11)
+        gamma = 5.0 + 1j * np.linspace(-0.5, 0.5, 11) * (2.0 * math.pi * f / C0)
+        n_pairs = exact_rows(gamma, P, 8, f).sum()
+        assert n_pairs < 12 * len(f)
+        with mock.patch.object(radiation, "_steer", wraps=radiation._steer) as steer:
+            _beams(gamma, P, 8, f)
+        assert steer.call_count == 1
+        assert steer.call_args.args[2].shape == (n_pairs, 8)
+
+    def test_tan_form_of_sin_squared(self):
+        # the screen takes it of psi/2 in [-pi/2, pi/2] and of N psi/2, N < 80
+        x = np.concatenate(
+            [
+                [0.0, -0.0, math.pi / 2, -math.pi / 2, 1e-300, -1e-300],
+                np.linspace(-math.pi / 2, math.pi / 2, 100_001),
+                np.linspace(-40.0 * math.pi, 40.0 * math.pi, 100_001),
+            ]
+        )
+        assert np.abs(_sin_squared(x.copy()) - np.sin(x) ** 2).max() <= 1e-15
 
     @settings(max_examples=60, deadline=None)
     @given(
