@@ -16,12 +16,11 @@ from __future__ import annotations
 
 import enum
 import math
-import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cell import CrlhUnitCell
+from .cell import CrlhUnitCell, resonances
 from .errors import BracketError, PoleError
 from .geometry import C0, MAX_N_POINTS
 
@@ -42,11 +41,6 @@ _DEGENERATE_SINH = 1e-12
 _EDGE_TOL = 1e-9
 # Phase-pinning tolerance for stop-band classification.
 _BAND_EDGE_PIN = 1e-6
-# Brent root-solve tolerances: 1 kHz absolute on the transition root, and
-# the relative default of scipy.optimize.brentq.
-_BRENT_XTOL = 1e3
-_BRENT_RTOL = 4.0 * sys.float_info.epsilon
-_BRENT_MAXITER = 100
 
 
 class Region(enum.Enum):
@@ -227,101 +221,42 @@ def _sweep_columns(cell: CrlhUnitCell, f: np.ndarray) -> tuple[np.ndarray, ...]:
     return f, beta, alpha, k0, region, leaky, np.where(leaky, _scan_deg(beta, k0), np.nan)
 
 
-def _brentq(f, xpre, xcur, fpre, fcur, xtol, maxiter=_BRENT_MAXITER):
-    """Root of f between xpre and xcur, where f has values fpre and fcur
-    of opposite sign.
-
-    Brent's bracketed solver (Brent, Algorithms for Minimization without
-    Derivatives, 1973, ch. 4) in the operation order of
-    scipy.optimize.brentq, so every iterate is bit-identical to scipy's.
-    Converged when half the bracket is below (xtol + _BRENT_RTOL |x|) / 2;
-    raises BracketError after maxiter steps without convergence.
-    """
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(maxiter):
-        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2.0
-        sbis = (xblk - xcur) / 2.0
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:
-                # secant
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:
-                # inverse quadratic interpolation
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0.0 else -delta
-        fcur = f(xcur)
-    raise BracketError(
-        f"root solve did not converge in {maxiter} iterations (last x = {xcur:.9g})"
-    )
-
-
 def transition_frequency(
     cell: CrlhUnitCell,
     bracket: tuple[float, float] = (DEFAULT_F_START, DEFAULT_F_STOP),
 ) -> float:
-    """Frequency where beta crosses zero, bracketed to 1 kHz.
+    """Frequency where beta crosses zero: the shunt resonance f_sh.
 
-    The bracket endpoints must straddle the sign change; Brent iteration
-    (bracketing, derivative-free, with inverse-quadratic and secant steps)
-    refines the root. Raises BracketError when beta has the same sign at
-    both ends, when the iteration does not converge, or when the root lies
-    in a stop band (alpha of the lossless cell above
-    _EVANESCENT_ALPHA_NP_PER_M there): an unbalanced cell pins beta at 0
-    across the gap between its series and shunt resonances, and which point
-    of it the iteration lands on depends on the bracket.
+    A symmetric-T cell has cosh(gamma p) = 1 - XB/2 + j rB/2, with X the
+    series reactance, r the series loss and B the shunt susceptance. That
+    is real only where B = 0, so with or without loss the crossing is
+    f_sh = 1/(2 pi sqrt(L_L C_R)) (Caloz & Itoh, Electromagnetic
+    Metamaterials, 2006, sec. 3.1-3.2). Raises ValueError for a bracket
+    that is not 0 < f_lo < f_hi, and BracketError when f_sh lies outside
+    the bracket or when the lossless cell has a stop band between its
+    series resonance f_se and f_sh (alpha above _EVANESCENT_ALPHA_NP_PER_M
+    at their midpoint): beta is pinned at 0 across that gap, so there is
+    no single transition frequency.
     """
     f_lo, f_hi = bracket
     if not 0.0 < f_lo < f_hi:
         raise ValueError(f"need 0 < f_lo < f_hi, got ({f_lo}, {f_hi})")
-    alphas = {}  # the alpha of each frequency evaluated
-
-    def beta_of(f: float) -> float:
-        beta, alphas[f] = bloch_gamma(cell, f)
-        return beta
-
-    b_lo, b_hi = beta_of(f_lo), beta_of(f_hi)
-    if b_lo == 0.0:
-        root = f_lo
-    elif b_hi == 0.0:
-        root = f_hi
-    elif math.copysign(1.0, b_lo) == math.copysign(1.0, b_hi):
+    pair = resonances(cell)
+    f_se = pair.omega_se / (2.0 * math.pi)
+    f_sh = pair.omega_sh / (2.0 * math.pi)
+    if not f_lo <= f_sh <= f_hi:
         raise BracketError(
-            f"beta does not change sign over [{f_lo:.9g}, {f_hi:.9g}] Hz "
-            f"(beta = {b_lo:.6g} and {b_hi:.6g} rad/m)"
+            f"the transition f_sh = {f_sh:.9g} Hz lies outside [{f_lo:.9g}, {f_hi:.9g}] Hz"
         )
-    else:
-        root = float(_brentq(beta_of, f_lo, f_hi, b_lo, b_hi, _BRENT_XTOL))
-    alpha = alphas[root]
-    if alpha > _EVANESCENT_ALPHA_NP_PER_M and cell.r_series > 0.0:
-        # loss lifts alpha everywhere, to about |beta| near a balanced
-        # cell's root, so the stop band is judged on the lossless cell
-        alpha = bloch_gamma(replace(cell, r_series=0.0), root)[1]
+    # loss lifts alpha everywhere, so the gap is judged on the lossless cell
+    alpha = bloch_gamma(replace(cell, r_series=0.0), 0.5 * (f_se + f_sh))[1]
     if alpha > _EVANESCENT_ALPHA_NP_PER_M:
         raise BracketError(
-            f"beta crosses zero inside a stop band: alpha = {alpha:.6g} Np/m "
-            f"at {root:.9g} Hz, so the cell has no single transition frequency"
+            f"stop band between f_se = {f_se:.9g} Hz and f_sh = {f_sh:.9g} Hz "
+            f"(alpha = {alpha:.6g} Np/m midway), so the cell has no single "
+            f"transition frequency"
         )
-    return root
+    return f_sh
 
 
 def scan_profile(

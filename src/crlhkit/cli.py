@@ -18,6 +18,7 @@ import functools
 import itertools
 import math
 import os
+import stat
 import sys
 from typing import TYPE_CHECKING
 
@@ -81,10 +82,11 @@ def _write_chunks(chunks, out_dir: str | None, filename: str) -> None:
 def _write_files(chunks, out_dir: str, filenames: list[str]) -> None:
     """(i, text) chunks written to files under out_dir, text going to
     filenames[i]; the paths are printed once all are written. Every file
-    is opened before any is written: a directory or file that cannot be
-    made is a CrlhError naming it, and the files this call created are
-    removed again. An error while writing, such as a closed pipe, is left
-    to the caller."""
+    is opened, without truncating it, before any is written: a directory
+    or file that cannot be made is a CrlhError naming it, the files this
+    call created are removed again, and an earlier run's files keep their
+    bytes. Only then are the regular files truncated. An error while
+    writing, such as a closed pipe, is left to the caller."""
     paths = [os.path.join(out_dir, name) for name in filenames]
     created = []
     with contextlib.ExitStack() as stack:
@@ -93,7 +95,8 @@ def _write_files(chunks, out_dir: str, filenames: list[str]) -> None:
             files = []
             for path in paths:
                 existed = os.path.lexists(path)
-                files.append(stack.enter_context(open(path, "w", encoding="utf-8", newline="")))
+                fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+                files.append(stack.enter_context(open(fd, "w", encoding="utf-8", newline="")))
                 if not existed:
                     created.append(path)
         except OSError as exc:
@@ -101,6 +104,9 @@ def _write_files(chunks, out_dir: str, filenames: list[str]) -> None:
             for path in created:
                 os.remove(path)
             raise CrlhError(f"cannot write {exc.filename or out_dir}: {exc.strerror}") from None
+        for file in files:
+            if stat.S_ISREG(os.fstat(file.fileno()).st_mode):
+                os.ftruncate(file.fileno(), 0)
         for i, chunk in chunks:
             files[i].write(chunk)
     for path in paths:

@@ -10,7 +10,7 @@ class ConfigError(CrlhError):
 
 
 class BracketError(CrlhError):
-    """A root bracket has no sign change, or its solve does not converge."""
+    """A cell has no single transition frequency inside the given band."""
 
 
 class PoleError(CrlhError):

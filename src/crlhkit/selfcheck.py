@@ -73,11 +73,12 @@ def _sweep(config: RunConfig, cell: CrlhUnitCell) -> DispersionSweep:
 
 
 def _gap_samples(sweep: DispersionSweep) -> int:
-    """Evanescent samples between the first and last leaky one; -1 without any."""
-    leaky = np.flatnonzero(sweep.leaky)
-    if not leaky.size:
+    """Evanescent samples between the first and last pass-band one, leaky
+    or slow; -1 without any."""
+    passing = np.flatnonzero(sweep.region != _EVANESCENT)
+    if not passing.size:
         return -1
-    return int(np.count_nonzero(sweep.region[leaky[0] : leaky[-1] + 1] == _EVANESCENT))
+    return int(np.count_nonzero(sweep.region[passing[0] : passing[-1] + 1] == _EVANESCENT))
 
 
 def check_capacitance_anchor(config: RunConfig) -> tuple[bool, str]:

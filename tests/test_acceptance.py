@@ -42,9 +42,9 @@ def sweep(cell, config):
 
 
 def gap_samples(s):
-    """Evanescent samples between the first and last leaky one."""
-    leaky = np.flatnonzero(s.leaky)
-    return int(np.count_nonzero(s.region[leaky[0] : leaky[-1] + 1] == EVANESCENT))
+    """Evanescent samples between the first and last pass-band one, leaky or slow."""
+    passing = np.flatnonzero(s.region != EVANESCENT)
+    return int(np.count_nonzero(s.region[passing[0] : passing[-1] + 1] == EVANESCENT))
 
 
 def test_criterion_1_idc_anchor():

@@ -1,10 +1,11 @@
 import cmath
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
@@ -15,7 +16,6 @@ from crlhkit.bloch import (
     MAX_N_POINTS,
     REGIONS,
     Region,
-    _brentq,
     _chain,
     _scan_deg,
     bloch_gamma,
@@ -321,13 +321,12 @@ class TestDispersionSweep:
 
 class TestTransition:
     def test_recovers_calibration_targets(self, cells):
+        # a balanced cell crosses at its shunt resonance, here exactly the target
         for n, f0 in ((2, 10.7e9), (3, 9.5e9), (4, 9.3e9)):
-            found = transition_frequency(cells[n])
-            # 1 kHz root tolerance on a ~10 GHz root
-            assert found == pytest.approx(f0, rel=1e-6)
+            assert transition_frequency(cells[n]) == f0
 
     def test_one_sided_bracket_fails(self, cells):
-        with pytest.raises(BracketError, match="does not change sign"):
+        with pytest.raises(BracketError, match=r"f_sh = 9\.3e\+09 Hz lies outside"):
             transition_frequency(cells[4], bracket=(9.4e9, 12.0e9))
 
     def test_invalid_bracket_rejected(self, cells):
@@ -337,15 +336,24 @@ class TestTransition:
     @pytest.mark.parametrize("n", [2, 3, 4])
     @pytest.mark.parametrize("bracket", [(7.5e9, 12.0e9), (7.5e9, 20.0e9)])
     def test_root_inside_a_stop_band_is_a_bracket_error(self, cells, n, bracket):
-        # the shunt branch detuned 20 percent opens a gap where beta is
-        # pinned at 0; Brent lands on a bracket-dependent point of it
-        # (10.09 or 10.625 GHz for 2 fingers), which is no transition
+        # the shunt branch detuned 20 percent opens a gap between f_sh and
+        # f_se where beta is pinned at 0, so there is no single transition
         cell = replace(cells[n], c_r=1.2 * cells[n].c_r)
-        with pytest.raises(BracketError, match="inside a stop band: alpha = [0-9.]+ Np/m at"):
+        edges = "stop band between f_se = [0-9.e+]+ Hz and f_sh = [0-9.e+]+ Hz"
+        with pytest.raises(BracketError, match=edges):
             transition_frequency(cell, bracket=bracket)
         # conductor loss does not hide the gap
-        with pytest.raises(BracketError, match="inside a stop band"):
+        with pytest.raises(BracketError, match=edges):
             transition_frequency(replace(cell, r_series=1.0), bracket=bracket)
+
+    def test_series_resonance_below_the_shunt_one_is_a_gap_too(self, cells):
+        cell = replace(cells[4], l_r=1.2 * cells[4].l_r)
+        pair = resonances(cell)
+        f_se, f_sh = (w / (2.0 * math.pi) for w in (pair.omega_se, pair.omega_sh))
+        assert f_se < f_sh
+        edges = f"f_se = {f_se:.9g} Hz and f_sh = {f_sh:.9g} Hz"
+        with pytest.raises(BracketError, match=re.escape(edges)):
+            transition_frequency(cell)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_lossy_balanced_cell_keeps_its_transition(self, config, cells, n):
@@ -355,30 +363,24 @@ class TestTransition:
         r = extract(g, config.substrate, sheet_resistivity=1.0).r_series
         lossy = replace(cells[n], r_series=r)
         root = transition_frequency(lossy)
-        assert root == pytest.approx(config.targets[n], rel=1e-6)
-        assert bloch_gamma(lossy, root)[1] > 1e-3
+        assert root == resonances(lossy).omega_sh / (2.0 * math.pi)
+        assert root == pytest.approx(config.targets[n], rel=1e-15)
 
     @settings(max_examples=150, deadline=None)
     @given(
-        n=st.sampled_from([2, 3, 4]),
-        scales=CELL_SCALES,
-        r_series=R_SERIES,
-        f_lo=st.floats(min_value=1e9, max_value=7e9),
-        f_hi=st.floats(min_value=14e9, max_value=40e9),
-        xtol=st.sampled_from([1e3, 1.0, 1e-3]),
+        c_l=st.floats(min_value=5e-15, max_value=1e-13),
+        f0=st.floats(min_value=5e9, max_value=15e9),
+        z_c=st.floats(min_value=20.0, max_value=100.0),
+        period=st.floats(min_value=1e-3, max_value=1e-2),
     )
-    def test_brent_port_is_bit_identical_to_scipy(self, cells, n, scales, r_series, f_lo, f_hi, xtol):
-        cell = perturbed(cells[n], scales, r_series)
+    def test_matches_scipy_root_of_beta(self, c_l, f0, z_c, period):
+        # scipy's Brent solver on the kernel's beta, an independent oracle
+        cell = calibrate_balanced(c_l, f0, z_c=z_c, period=period)
+        f_lo, f_hi = 0.9 * f0, 1.1 * f0
         beta_of = beta_function(cell)
-        b_lo, b_hi = beta_of(f_lo), beta_of(f_hi)
-        assume(b_lo != 0.0 and b_hi != 0.0 and (b_lo < 0.0) != (b_hi < 0.0))
-        assert _brentq(beta_of, f_lo, f_hi, b_lo, b_hi, xtol) == brentq(beta_of, f_lo, f_hi, xtol=xtol)
-
-    def test_brent_non_convergence_is_a_bracket_error(self, cells):
-        beta_of = beta_function(cells[4])
-        f_lo, f_hi = 7.5e9, 12.0e9
-        with pytest.raises(BracketError, match="did not converge in 1 iterations"):
-            _brentq(beta_of, f_lo, f_hi, beta_of(f_lo), beta_of(f_hi), 1e3, maxiter=1)
+        assert beta_of(f_lo) < 0.0 < beta_of(f_hi)
+        root = brentq(beta_of, f_lo, f_hi, xtol=1.0)
+        assert abs(transition_frequency(cell, bracket=(f_lo, f_hi)) - root) <= 1e3
 
 
 class TestScanAngle:

@@ -511,13 +511,13 @@ class TestCliCommands:
         path = write_cfg(tmp_path, "freq_start_ghz = 9.4\n")
         assert main(["sweep", "--config", path, "--out", str(tmp_path / "x")]) == 1
         err = capsys.readouterr().err
-        assert "4-finger" in err and "does not change sign" in err
+        assert "4-finger" in err and "f_sh = 9.3e+09 Hz lies outside" in err
 
     @pytest.mark.parametrize(
         "text",
         [
             "target_3_ghz = 1e-300\n",  # the 3-finger state cannot be calibrated
-            "freq_start_ghz = 9.4\n",  # the 4-finger root solve has no bracket
+            "freq_start_ghz = 9.4\n",  # the 4-finger transition lies below the band
         ],
         ids=["calibration", "root-solve"],
     )
@@ -545,6 +545,25 @@ class TestCliCommands:
         assert captured.out == ""
         assert captured.err == f"error: cannot write {out / last}: Is a directory\n"
         assert [path.name for path in out.iterdir()] == [last]
+
+    @pytest.mark.parametrize(
+        "argv, last",
+        [(["sweep"], "sweep_summary.json"), (["pattern"], "pattern_4f_summary.json")],
+        ids=["sweep", "pattern"],
+    )
+    def test_failed_out_keeps_an_earlier_run(self, tmp_path, capsys, argv, last):
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out)]) == 0
+        (out / last).unlink()
+        kept = {path.name: path.read_bytes() for path in out.iterdir()}
+        assert kept and all(kept.values())
+        # the summary, opened last, is now a directory: the second run fails
+        # after it has opened the earlier files, and must leave them whole
+        (out / last).mkdir()
+        capsys.readouterr()
+        assert main([*argv, "--out", str(out)]) == 1
+        assert capsys.readouterr().out == ""
+        assert {name: (out / name).read_bytes() for name in kept} == kept
 
     @pytest.mark.parametrize(
         "argv, out",
@@ -598,8 +617,8 @@ class TestCliCommands:
         assert all(r["passed"] for r in doc)
 
     def test_reproduce_reports_a_check_that_cannot_run(self, capsys):
-        # 9.4 GHz starts above the 4-finger crossing: the root solves fail,
-        # and the checks that need them are reported FAIL like any other
+        # 9.4 GHz starts above the 4-finger crossing: the transitions cannot
+        # be given, and the checks that need them are reported FAIL like any other
         assert main(["reproduce", "--freq-start", "9.4"]) == 1
         captured = capsys.readouterr()
         assert captured.err == ""
@@ -611,11 +630,30 @@ class TestCliCommands:
             "FAIL  gapless balanced bands",
             "FAIL  full-space scanning",
         ]
-        assert "beta does not change sign over [9.4e+09, 1.2e+10] Hz" in failed[0]
+        assert "f_sh = 9.3e+09 Hz lies outside [9.4e+09, 1.2e+10] Hz" in failed[0]
         assert main(["reproduce", "--freq-start", "9.4", "--json"]) == 1
         doc = json.loads(capsys.readouterr().out)
         assert [r["passed"] for r in doc] == [True, True, False, False, True, False, True, True]
         assert doc[2]["detail"] == failed[0].split(": ", 1)[1]
+
+    def test_gapless_check_counts_slow_samples_as_pass_band(self, tmp_path):
+        # the 2-finger detuned control is a slow wave below its gap and has
+        # a single leaky sample above it, so counting only between leaky
+        # samples read "detuned gap 0" and failed the balanced design
+        path = write_cfg(
+            tmp_path,
+            "finger_length_mm = 0.7247473400068514\n"
+            "gap_mm = 0.5082685461645472\n"
+            "epsilon_r = 4.134897561452338\n"
+            "target_2_ghz = 8.54372596184771\n"
+            "target_3_ghz = 8.555597637232342\n"
+            "target_4_ghz = 10.067409290059777\n",
+        )
+        results = {r.name: r for r in selfcheck.run_all(resolve_config(path, env={}))}
+        gapless = results["gapless balanced bands"]
+        assert gapless.passed, gapless.detail
+        assert "2f: gap samples 0" in gapless.detail
+        assert "detuned gap 0" not in gapless.detail
 
     def test_reproduce_solves_each_state_once(self, monkeypatch, capsys):
         calls = {"transition": [], "beams": []}

@@ -1,9 +1,15 @@
 """Byte-for-byte pins of the paper-default outputs.
 
-The sweep and reproduce digests were taken from the release that swept one
+The dispersion-CSV digests were taken from the release that swept one
 frequency at a time with scalar cmath, the pattern digests from the array
 factor that took a complex exp of every steering entry; the current code
 must reproduce those outputs exactly.
+
+The two sweep_summary.json pins and the reproduce pin moved once, when the
+transition frequency became the closed-form shunt resonance f_sh instead of
+a Brent root solved to 1 kHz: the 3-finger transition_Hz went from
+9500000010.0 to 9500000000.0, and the broadside-tuning detail now reads
+0.00e+00 off for every state. Nothing else in those files changed.
 """
 
 import hashlib
@@ -16,16 +22,16 @@ SWEEP_DIGESTS = {
     "dispersion_2f.csv": "8478ceb2a9fd069b5b2f2efbdf2e84d79093b790d5aa8f37c430eb798ad46e79",
     "dispersion_3f.csv": "11ee594533510d3f1164c6d181681838ccf78a697eafc78fc2a1e762a5c3a5d6",
     "dispersion_4f.csv": "52436ac3f20e21c7fdf444f6a86b0f9d186e81ba2e745c42d93f081af2e47f69",
-    "sweep_summary.json": "00bf82bda7a84bcd49af0f400af9a90cf407b8b2a7df25fc836df7a99f831b4c",
+    "sweep_summary.json": "e3c71e9433d3226e6a8a79ac0bdc5af4b29ea4897b16a6ebcebbf9d3920a96b5",
 }
 # `sweep --points 15001`: each table spans several CSV chunks
 DENSE_SWEEP_DIGESTS = {
     "dispersion_2f.csv": "38d3ce07634dc938030b7154c7377b2c99435b0855f9f94ae5186a81ba7deef7",
     "dispersion_3f.csv": "be6aa8eff0c22e0b152e08d9704ad55ef69b99a02c974e4d5fcfa3194d3d5c7f",
     "dispersion_4f.csv": "53d081649d8bf14014ff9a00de6341ba0ee1d6ce5230fc705d73d1b2739c8bf4",
-    "sweep_summary.json": "f2f38fb27c2580239b2381b418d8ca7a63a8278c14d03219ff091ecef75d194f",
+    "sweep_summary.json": "de134243cc284e25f249c3e4039710a22f4bfcce0a4b3b53c31a48595de7a345",
 }
-REPRODUCE_JSON_DIGEST = "75e018f4e9cab0a2a99ce4a75660c82b273d62b681037899fd56ff3aa8b388d0"
+REPRODUCE_JSON_DIGEST = "5789d40e4e8defe4c533de5368ecd52a91c122133be910834130dc477d95729a"
 # stdout of `pattern` in its three output forms
 PATTERN_DIGESTS = {
     ("--format", "json", "--leakage"): "907bb4d1196ba74040ad04fdc6053ad461f681daa546cb1458ec8ddb8e6c7e25",
