@@ -304,7 +304,7 @@ def cmd_sweep(config: RunConfig, args) -> int:
     # every state is solved before the first file is written, so a state
     # that fails leaves no output behind
     solved = {}
-    for n in sorted(config.targets):
+    for n in config.target_states():
         cell = config.cell(n)
         try:
             f0 = transition_frequency(cell, bracket=(config.f_start, config.f_stop))

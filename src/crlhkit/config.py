@@ -20,7 +20,7 @@ from importlib import resources
 from . import PROFILE_ENV_VAR
 from .cell import CrlhUnitCell, cell_for_state
 from .errors import ConfigError
-from .geometry import MAX_N_POINTS, CellGeometry, IdcGeometry, SubstrateSpec
+from .geometry import MAX_N_CELLS, MAX_N_POINTS, CellGeometry, IdcGeometry, SubstrateSpec
 
 DEFAULT_PROFILE = "paper-default"
 
@@ -44,6 +44,7 @@ _FLOAT_KEYS = {
     "sheet_resistance_ohm_per_sq",
 }
 _INT_KEYS = {"n_cells", "fingers", "n_points"}
+_INT_RANGES = {"n_points": (2, MAX_N_POINTS), "n_cells": (1, MAX_N_CELLS)}
 _CHOICE_KEYS = {"series_combination": ("half", "full")}
 # Keys whose value may be `none` to clear an inherited setting.
 _CLEARABLE = {"target_2_ghz", "target_3_ghz", "target_4_ghz", "z0_line_ohm"}
@@ -99,6 +100,15 @@ class RunConfig:
             raise ConfigError(f"z0_line_ohm must be positive, got {self.z0_line}")
         if self.sheet_resistance < 0.0:
             raise ConfigError(f"sheet resistance must be >= 0, got {self.sheet_resistance}")
+
+    def target_states(self) -> list[int]:
+        """Finger counts with a broadside target, in order; a ConfigError
+        when every target_<n>_ghz is `none`."""
+        if not self.targets:
+            raise ConfigError(
+                "no target state: target_2_ghz, target_3_ghz and target_4_ghz are all none"
+            )
+        return sorted(self.targets)
 
     def idc_geometry(self, fingers: int | None = None) -> IdcGeometry:
         """Capacitor geometry for a switch state (default: the configured one)."""
@@ -156,9 +166,10 @@ def parse_config_text(text: str, source: str = "<config>") -> dict:
                 values[key] = int(value)
             except ValueError:
                 raise ConfigError(f"{source}:{lineno}: {key} needs an integer, got {value!r}") from None
-            if key == "n_points" and not 2 <= values[key] <= MAX_N_POINTS:
+            lo, hi = _INT_RANGES.get(key, (-math.inf, math.inf))
+            if not lo <= values[key] <= hi:
                 raise ConfigError(
-                    f"{source}:{lineno}: n_points must be within 2..{MAX_N_POINTS}, got {value!r}"
+                    f"{source}:{lineno}: {key} must be within {lo}..{hi}, got {value!r}"
                 )
         else:
             choices = _CHOICE_KEYS[key]

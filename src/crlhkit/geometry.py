@@ -1,5 +1,5 @@
 """Physical constants, geometric descriptions of the antenna stack, and
-the grid limit that the configuration checks before any numpy module loads.
+the size limits that the configuration checks before any numpy module loads.
 
 Every dimension is stored in SI units (meters). The gap-capacitance formula
 wants micrometers; conversion happens at that formula boundary, never in
@@ -18,6 +18,9 @@ C0 = 299_792_458.0  # speed of light [m/s]
 # returns seven columns of this length, so the cap bounds its memory by the
 # input rather than by the machine.
 MAX_N_POINTS = 1_000_000
+# Most cells in the radiating line, 125x the paper's 8. A pattern block
+# holds 4 frequencies x 721 angles x n_cells complex values, 46 MB here.
+MAX_N_CELLS = 1_000
 
 
 def to_um(meters: float) -> float:
@@ -70,8 +73,8 @@ class CellGeometry:
     def __post_init__(self):
         if self.period <= 0.0:
             raise ValueError(f"period must be positive, got {self.period}")
-        if self.n_cells < 1:
-            raise ValueError(f"n_cells must be >= 1, got {self.n_cells}")
+        if not 1 <= self.n_cells <= MAX_N_CELLS:
+            raise ValueError(f"n_cells must be within 1..{MAX_N_CELLS}, got {self.n_cells}")
 
 
 def default_substrate() -> SubstrateSpec:

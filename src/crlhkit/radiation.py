@@ -16,9 +16,7 @@ import numpy as np
 
 from .bloch import bloch_gamma
 from .cell import CrlhUnitCell
-from .geometry import C0
-
-DEFAULT_THETA_STEP_DEG = 0.25
+from .geometry import C0, MAX_N_CELLS
 
 # Relative magnitude floor so exact pattern nulls stay finite in dB.
 _NULL_FLOOR = 1e-15
@@ -26,6 +24,9 @@ _NULL_FLOOR = 1e-15
 # _BLOCK x len(theta) x n_cells complex values is reused for every block,
 # so transient memory does not grow with the number of frequencies.
 _BLOCK = 4
+# Frequencies per slice of _beams: its slice x 721-angle arrays stay under
+# 0.4 MB each, and as a multiple of _BLOCK it keeps every block's shape.
+_BEAM_SLICE = 64
 # The beam screen (_screen): its margin relative to sum r^n, the half-power
 # ratio 10^(-3/20), the limit on N (k0 p + |beta p|) below which the
 # screen's and the exact sum's rounding stay far inside that margin (both
@@ -37,21 +38,17 @@ _SCREEN_PHASE_LIMIT = 1e5
 _SCREEN_TINY = 1e-150
 
 
-def default_theta_grid() -> np.ndarray:
-    """Symmetric angle grid over [-90, +90] degrees, inclusive, in steps of
-    DEFAULT_THETA_STEP_DEG."""
-    return np.linspace(-90.0, 90.0, round(180.0 / DEFAULT_THETA_STEP_DEG) + 1)
-
-
 @dataclass(frozen=True)
 class RadiationPattern:
     """Normalized pattern cuts at one frequency or at an array of them.
 
-    Each cut peaks at exactly 0 dB; main_beam_deg is the grid argmax and
+    Every cut is taken on the one angle grid, theta_deg: -90 to +90
+    degrees in 0.25 degree steps, 721 angles, shared and read-only. Each
+    cut peaks at exactly 0 dB; main_beam_deg is the grid argmax and
     beamwidth_3db_deg the interpolated -3 dB width around it. For one
     frequency f, main_beam_deg and beamwidth_3db_deg are floats and
     magnitude_db has one entry per angle; for an array of F frequencies
-    they are arrays of length F and magnitude_db is F x len(theta_deg).
+    they are arrays of length F and magnitude_db is F x 721.
     """
 
     f: float | np.ndarray
@@ -63,17 +60,17 @@ class RadiationPattern:
 
 @functools.cache
 def _default_grid():
-    """theta and sin theta of the default grid, read-only."""
-    theta = default_theta_grid()
+    """theta, -90 to +90 degrees in 0.25 degree steps, and sin theta; read-only."""
+    theta = np.linspace(-90.0, 90.0, 721)
     sin_theta = np.sin(np.radians(theta))
     theta.flags.writeable = False
     sin_theta.flags.writeable = False
     return theta, sin_theta
 
 
-def _inputs(gamma, p, n_cells, f, theta_grid):
+def _inputs(gamma, p, n_cells, f):
     """Validated inputs of array_factor and the arrays every evaluation of
-    them shares: (freqs, gammas, theta, sin_theta, phase_step, excitation).
+    them shares: (freqs, gammas, phase_step, excitation).
     phase_step is k0 p of each frequency and excitation the frequency x
     cell array exp(-n gamma p)."""
     freqs = np.asarray(f, dtype=float)
@@ -83,21 +80,12 @@ def _inputs(gamma, p, n_cells, f, theta_grid):
             f"gamma and f must be scalars or 1-D arrays of one length, got shapes "
             f"{gammas.shape} and {freqs.shape}"
         )
-    if n_cells < 1:
-        raise ValueError(f"n_cells must be >= 1, got {n_cells}")
+    if not 1 <= n_cells <= MAX_N_CELLS:
+        raise ValueError(f"n_cells must be within 1..{MAX_N_CELLS}, got {n_cells}")
     if (freqs <= 0.0).any():
         raise ValueError(f"frequency must be positive, got {freqs[freqs <= 0.0].flat[0]}")
     if p <= 0.0:
         raise ValueError(f"period must be positive, got {p}")
-    if theta_grid is None:
-        theta, sin_theta = _default_grid()
-    else:
-        theta = np.asarray(theta_grid, dtype=float)
-        if theta.ndim != 1 or len(theta) < 2 or not np.all(np.diff(theta) > 0.0):
-            raise ValueError("theta grid must be a strictly increasing 1-D array")
-        if not np.isfinite(theta).all():
-            raise ValueError("theta grid must be finite")
-        sin_theta = np.sin(np.radians(theta))
 
     with np.errstate(over="ignore"):
         k0 = 2.0 * math.pi * freqs.reshape(-1) / C0
@@ -115,7 +103,7 @@ def _inputs(gamma, p, n_cells, f, theta_grid):
             f"sum of |exp(-n gamma p)| over {n_cells} cells must be finite, got {total[i]} "
             f"at gamma {gammas.reshape(-1)[i]} and period {p}"
         )
-    return freqs, gammas, theta, sin_theta, phase_step, excitation
+    return freqs, gammas, phase_step, excitation
 
 
 def _steer(phase_step, sin_theta, out: np.ndarray) -> None:
@@ -190,7 +178,7 @@ def _crossing_angles(theta_at, db, j2, step, edge) -> np.ndarray:
     return angle
 
 
-def _db_and_beams(theta, theta_at, magnitude, bounds):
+def _db_and_beams(theta_at, magnitude, bounds):
     """(dB, main beam, -3 dB width) of cuts given as runs of samples.
 
     Frequency i owns samples bounds[i]:bounds[i + 1], at least one, in
@@ -198,8 +186,8 @@ def _db_and_beams(theta, theta_at, magnitude, bounds):
     |AF|. Each cut goes to dB as 20 log10(max(|AF|, floor) / peak) minus
     its largest value, so that its peak sits at 0 dB exactly; its main
     beam is its first sample at that peak, and its width lies between the
-    -3 dB crossings on either side, falling back to the grid edges of
-    theta. On a whole cut this is the plain argmax and walk outward.
+    -3 dB crossings on either side, falling back to -90 and +90 degrees.
+    On a whole cut this is the plain argmax and walk outward.
     """
     starts = bounds[:-1]
     counts = np.diff(bounds)
@@ -216,18 +204,13 @@ def _db_and_beams(theta, theta_at, magnitude, bounds):
     own_peak = np.repeat(i_peak, counts)
     right = np.minimum.reduceat(np.where(past & (idx > own_peak), idx, len(db)), starts)
     left = np.maximum.reduceat(np.where(past & (idx < own_peak), idx, -1), starts)
-    width = _crossing_angles(theta_at, db, right, +1, theta[-1]) - _crossing_angles(
-        theta_at, db, left, -1, theta[0]
-    )
+    upper = _crossing_angles(theta_at, db, right, +1, 90.0)
+    width = upper - _crossing_angles(theta_at, db, left, -1, -90.0)
     return db, theta_at[i_peak], width
 
 
 def array_factor(
-    gamma: complex | np.ndarray,
-    p: float,
-    n_cells: int,
-    f: float | np.ndarray,
-    theta_grid: np.ndarray | None = None,
+    gamma: complex | np.ndarray, p: float, n_cells: int, f: float | np.ndarray
 ) -> RadiationPattern:
     """Pattern of n_cells isotropic radiators fed by a traveling wave.
 
@@ -236,10 +219,10 @@ def array_factor(
     value each (floats come back) or 1-D arrays of one length, one
     pattern per frequency (arrays come back).
     """
-    freqs, _, theta, sin_theta, phase_step, excitation = _inputs(gamma, p, n_cells, f, theta_grid)
+    freqs, _, phase_step, excitation = _inputs(gamma, p, n_cells, f)
+    theta, sin_theta = _default_grid()
     magnitude = _magnitudes(sin_theta, phase_step, excitation)
     db, main, width = _db_and_beams(
-        theta,
         np.tile(theta, len(phase_step)),
         magnitude.reshape(-1),
         np.arange(0, magnitude.size + 1, len(theta)),
@@ -353,15 +336,21 @@ def _pair_magnitudes(fi, ri, bounds, sin_theta, phase_step, excitation) -> np.nd
 
 
 def _beams(gamma, p, n_cells, f):
-    """array_factor's main_beam_deg and beamwidth_3db_deg on the default
-    grid, bit for bit, from exact |AF| on the few rows that can decide
-    them; see beams_for_frequency."""
-    freqs, gammas, theta, sin_theta, phase_step, excitation = _inputs(gamma, p, n_cells, f, None)
-    exact = _screen(gammas.reshape(-1), p, n_cells, phase_step, sin_theta, excitation)
-    fi, ri = np.divmod(np.flatnonzero(exact), exact.shape[1])
-    bounds = np.searchsorted(fi, np.arange(len(phase_step) + 1))
-    magnitude = _pair_magnitudes(fi, ri, bounds, sin_theta, phase_step, excitation)
-    _, main, width = _db_and_beams(theta, theta[ri], magnitude, bounds)
+    """array_factor's main_beam_deg and beamwidth_3db_deg, bit for bit,
+    from exact |AF| on the few rows that can decide them; see
+    beams_for_frequency. The inputs are checked whole, then screened and
+    evaluated _BEAM_SLICE frequencies at a time."""
+    freqs, gammas, phase_step, excitation = _inputs(gamma, p, n_cells, f)
+    theta, sin_theta = _default_grid()
+    gammas = gammas.reshape(-1)
+    main, width = np.empty((2, len(phase_step)))
+    for lo in range(0, len(phase_step), _BEAM_SLICE):
+        k = slice(lo, lo + _BEAM_SLICE)
+        exact = _screen(gammas[k], p, n_cells, phase_step[k], sin_theta, excitation[k])
+        fi, ri = np.divmod(np.flatnonzero(exact), exact.shape[1])
+        bounds = np.searchsorted(fi, np.arange(len(exact) + 1))
+        magnitude = _pair_magnitudes(fi, ri, bounds, sin_theta, phase_step[k], excitation[k])
+        _, main[k], width[k] = _db_and_beams(theta[ri], magnitude, bounds)
     if freqs.ndim == 0:
         return float(main[0]), float(width[0])
     return main, width
@@ -385,7 +374,6 @@ def pattern_for_frequency(
     cell: CrlhUnitCell,
     f: float | np.ndarray,
     n_cells: int,
-    theta_grid: np.ndarray | None = None,
     leakage_np_per_cell: float | None = None,
 ) -> RadiationPattern:
     """Pattern from the Bloch solution of `cell` at f, one frequency or a 1-D array.
@@ -396,7 +384,7 @@ def pattern_for_frequency(
     Bloch alpha is used unchanged.
     """
     gamma = _gamma_for(cell, f, leakage_np_per_cell)
-    return array_factor(gamma, cell.period, n_cells, f, theta_grid)
+    return array_factor(gamma, cell.period, n_cells, f)
 
 
 def beams_for_frequency(
@@ -405,26 +393,27 @@ def beams_for_frequency(
     n_cells: int,
     leakage_np_per_cell: float | None = None,
 ) -> tuple[float | np.ndarray, float | np.ndarray]:
-    """(main_beam_deg, beamwidth_3db_deg) of pattern_for_frequency on the
-    default grid, bit for bit, without building the whole pattern.
+    """(main_beam_deg, beamwidth_3db_deg) of pattern_for_frequency, bit
+    for bit, without building the whole pattern.
 
-    f is one frequency (floats come back) or a 1-D array (arrays come
-    back); leakage_np_per_cell is as for pattern_for_frequency. Only the
-    argmax and the two -3 dB crossings of each cut reach the result, so a
-    closed-form screen (_screen) picks the rows that can decide them: the
-    peak candidates, within twice the margin m = 1e-9 sum r^n of the
-    largest estimate; every row the margin leaves undecided against -3 dB;
-    the rows beside a surely-above row or a peak candidate; and the
-    neighbours of all of those. Only those (frequency, row) pairs are
-    steered, multiplied and taken to dB, with array_factor's own steering,
-    matmul and dB steps, and the argmax and crossing walk run over the
-    pairs alone. That is exact because the screen's rules always make
-    three rows of each cut exact: the argmax row (every row tied with it
-    too), and on each side the first row past it that is not above -3 dB,
-    with that row's neighbour toward the peak. Every row between the peak
-    and that first row is above -3 dB, so the first such pair is that row,
-    and the pair before it is its neighbour. A flat cut, such as one cell,
-    has every row exact.
+    f is one frequency (floats come back) or a 1-D array of any length
+    (arrays come back, screened _BEAM_SLICE frequencies at a time so that
+    the frequency x angle arrays keep their size); leakage_np_per_cell is as
+    for pattern_for_frequency. Only the argmax and the two -3 dB crossings
+    of each cut reach the result, so a closed-form screen (_screen) picks
+    the rows that can decide them: the peak candidates, within twice the
+    margin m = 1e-9 sum r^n of the largest estimate; every row the margin
+    leaves undecided against -3 dB; the rows beside a surely-above row or a
+    peak candidate; and the neighbours of all of those. Only those
+    (frequency, row) pairs are steered, multiplied and taken to dB, with
+    array_factor's own steering, matmul and dB steps, and the argmax and
+    crossing walk run over the pairs alone. That is exact because the
+    screen's rules always make three rows of each cut exact: the argmax row
+    (every row tied with it too), and on each side the first row past it
+    that is not above -3 dB, with that row's neighbour toward the peak.
+    Every row between the peak and that first row is above -3 dB, so the
+    first such pair is that row, and the pair before it is its neighbour. A
+    flat cut, such as one cell, has every row exact.
     """
     gamma = _gamma_for(cell, f, leakage_np_per_cell)
     return _beams(gamma, cell.period, n_cells, f)

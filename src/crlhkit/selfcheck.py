@@ -46,10 +46,6 @@ TRACE_NOISE = 1e-12
 SCAN_LIMIT_DEG = 45.0
 TRACE_SEED = 0x5EED
 N_TRACE_FREQS = 20
-# Leaky samples per beam call. It bounds the slice x 721-angle arrays
-# that one call holds, whatever the grid size; 64 covers a typical state in
-# one or two calls and keeps each of those arrays under 0.4 MB.
-BEAM_SLICE = 64
 
 _EVANESCENT = REGIONS.index(Region.EVANESCENT)
 
@@ -154,13 +150,11 @@ def check_beam_consistency(config: RunConfig, cells: Cells, sweeps: Sweeps) -> t
     for n, cell in cells.items():
         sweep = sweeps[n]
         freqs = sweep.f[sweep.leaky]
-        expected = sweep.scan_deg[sweep.leaky]
-        for lo in range(0, len(freqs), BEAM_SLICE):
-            beam, width = beams_for_frequency(cell, freqs[lo : lo + BEAM_SLICE], n_cells)
-            miss = np.abs(beam - expected[lo : lo + BEAM_SLICE])
-            half = width / 2.0
-            ok = ok and bool((miss <= half).all())
-            worst = max(worst, float((miss / half).max()))
+        beam, width = beams_for_frequency(cell, freqs, n_cells)
+        miss = np.abs(beam - sweep.scan_deg[sweep.leaky])
+        half = width / 2.0
+        ok = ok and bool((miss <= half).all())
+        worst = max(worst, float((miss / half).max(initial=0.0)))
         count += len(freqs)
     return (
         ok and count > 0,
@@ -257,10 +251,11 @@ def run_all(config: RunConfig) -> list[CheckResult]:
     """Every check, in report order; one that cannot run is reported failed.
 
     Each state is swept once and its beta zero solved once; the checks
-    share those solutions.
+    share those solutions. A config without any target state fails the six
+    per-state checks with that error.
     """
     try:
-        cells = {n: config.cell(n) for n in sorted(config.targets)}
+        cells = {n: config.cell(n) for n in config.target_states()}
         sweeps = {n: _sweep(config, cell) for n, cell in cells.items()}
     except CrlhError as exc:
         cells = sweeps = f0s = exc

@@ -26,6 +26,8 @@ from crlhkit.config import (
     resolve_config,
 )
 from crlhkit.errors import ConfigError, CrlhError
+from crlhkit.geometry import MAX_N_CELLS, CellGeometry
+from crlhkit.radiation import array_factor
 
 
 @pytest.fixture(autouse=True)
@@ -52,6 +54,10 @@ def imported_modules(report):
         for line in report.splitlines()
         if line.startswith("import time:")
     }
+
+
+NO_TARGETS = "target_2_ghz = none\ntarget_3_ghz = none\ntarget_4_ghz = none\n"
+NO_TARGETS_ERROR = "no target state: target_2_ghz, target_3_ghz and target_4_ghz are all none"
 
 
 def write_cfg(tmp_path, text):
@@ -240,6 +246,24 @@ class TestConfigParsing:
         assert captured.out == ""
         with pytest.raises(ConfigError, match="n_points"):
             replace(resolve_config(env={}), n_points=1)
+
+    @pytest.mark.parametrize("command", ["pattern", "sweep"])
+    def test_n_cells_cap_in_config_file_names_file_and_line(self, tmp_path, capsys, command):
+        path = write_cfg(tmp_path, f"fingers = 4\nn_cells = {MAX_N_CELLS + 1}\n")
+        out = tmp_path / "out"
+        assert main([command, "--config", path, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            f"error: {path}:2: n_cells must be within 1..{MAX_N_CELLS}, got '{MAX_N_CELLS + 1}'"
+        ]
+        assert captured.out == "" and not out.exists()
+        at_cap = write_cfg(tmp_path, f"n_cells = {MAX_N_CELLS}\n")
+        geom = resolve_config(at_cap).cell_geometry
+        assert geom.n_cells == MAX_N_CELLS
+        with pytest.raises(ValueError, match=f"n_cells must be within 1..{MAX_N_CELLS}"):
+            replace(geom, n_cells=MAX_N_CELLS + 1)
+        with pytest.raises(ValueError, match=f"n_cells must be within 1..{MAX_N_CELLS}"):
+            array_factor(0j, geom.period, MAX_N_CELLS + 1, 9e9)
 
     def test_run_config_builds_each_state_cell(self):
         cfg = resolve_config(env={})
@@ -507,6 +531,20 @@ class TestCliCommands:
         assert captured.err.startswith("error: cannot calibrate the 3-finger state: ")
         assert captured.err.count("\n") == 1
 
+    def test_sweep_without_a_target_state_is_one_error(self, tmp_path, capsys):
+        path = write_cfg(tmp_path, NO_TARGETS)
+        fresh, out = tmp_path / "fresh", tmp_path / "out"
+        assert main(["sweep", "--out", str(out)]) == 0
+        kept = {p.name: p.read_bytes() for p in out.iterdir()}
+        capsys.readouterr()
+        for target in (fresh, out):
+            assert main(["sweep", "--config", path, "--out", str(target)]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.splitlines() == [f"error: {NO_TARGETS_ERROR}"]
+        assert not fresh.exists()
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == kept
+
     def test_sweep_bracket_failure_names_state(self, tmp_path, capsys):
         path = write_cfg(tmp_path, "freq_start_ghz = 9.4\n")
         assert main(["sweep", "--config", path, "--out", str(tmp_path / "x")]) == 1
@@ -636,6 +674,13 @@ class TestCliCommands:
         assert [r["passed"] for r in doc] == [True, True, False, False, True, False, True, True]
         assert doc[2]["detail"] == failed[0].split(": ", 1)[1]
 
+    def test_reproduce_without_a_target_state_fails_each_state_check(self, tmp_path, capsys):
+        path = write_cfg(tmp_path, NO_TARGETS)
+        assert main(["reproduce", "--json", "--config", path]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert [r["passed"] for r in doc] == [True, True] + [False] * 6
+        assert [r["detail"] for r in doc[2:]] == [NO_TARGETS_ERROR] * 6
+
     def test_gapless_check_counts_slow_samples_as_pass_band(self, tmp_path):
         # the 2-finger detuned control is a slow wave below its gap and has
         # a single leaky sample above it, so counting only between leaky
@@ -671,17 +716,13 @@ class TestCliCommands:
         assert main(["reproduce"]) == 0
         assert "8/8 checks passed" in capsys.readouterr().out
         assert len(calls["transition"]) == 3
-        # batched beam calls over each state's leaky samples, a slice at a time
+        # one beam call per state, over all of its leaky samples
         config = resolve_config(env={})
-        leaky = []
-        for n in (2, 3, 4):
-            s = dispersion_sweep(config.cell(n), config.f_start, config.f_stop, config.n_points)
-            leaky.append(s.f[s.leaky])
-        slices = [-(-len(f) // selfcheck.BEAM_SLICE) for f in leaky]
-        assert len(calls["beams"]) == sum(slices) < 6
         freqs = [f for f, _ in calls["beams"]]
-        assert all(len(f) <= selfcheck.BEAM_SLICE for f in freqs)
-        assert np.array_equal(np.concatenate(freqs), np.concatenate(leaky))
+        assert len(freqs) == 3
+        for n, f in zip((2, 3, 4), freqs):
+            s = dispersion_sweep(config.cell(n), config.f_start, config.f_stop, config.n_points)
+            assert np.array_equal(f, s.f[s.leaky])
 
     def test_elliptic_check_is_worked_out_once(self):
         # it reads no input, so every run_all in a process shares one result
