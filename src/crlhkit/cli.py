@@ -34,25 +34,32 @@ _GHZ = 1e9
 
 def fmt(x: float) -> str:
     """9-significant-digit scientific notation, the on-disk float format."""
-    return f"{float(x):.8e}"
+    return _fmt(x, "value")
 
 
-def _jfloat(x: float) -> float:
-    return float(fmt(x))
+def _fmt(x: float, field: str) -> str:
+    """x as fmt writes it. A value that is not finite has no such form and
+    is a ValueError naming its field; every command formats its output
+    before it writes any, so such a value leaves nothing written."""
+    x = float(x)
+    if not math.isfinite(x):
+        raise ValueError(f"cannot print the non-finite {field} {x}")
+    return f"{x:.8e}"
 
 
-def _jsonify(obj):
-    """Round every float to the on-disk precision before dumping."""
+def _jsonify(obj, field="value"):
+    """Round every float to the on-disk precision before dumping; a float
+    is named by the key it is found under."""
     if isinstance(obj, bool):
         return obj
     if isinstance(obj, float):
-        return _jfloat(obj)
+        return float(_fmt(obj, field))
     if isinstance(obj, dict):
-        return {k: _jsonify(v) for k, v in obj.items()}
+        return {k: _jsonify(v, k) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
+        return [_jsonify(v, field) for v in obj]
     if hasattr(obj, "tolist"):  # numpy scalar or array
-        return _jsonify(obj.tolist())
+        return _jsonify(obj.tolist(), field)
     return obj
 
 
@@ -119,7 +126,7 @@ def _csv_text(header: list[str], rows: list[list[str]]) -> str:
 
 
 def _kv_csv(pairs: dict) -> str:
-    rows = [[k, fmt(v) if isinstance(v, float) else str(v)] for k, v in pairs.items()]
+    rows = [[k, _fmt(v, k) if isinstance(v, float) else str(v)] for k, v in pairs.items()]
     return _csv_text(["key", "value"], rows)
 
 

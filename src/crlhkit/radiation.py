@@ -69,10 +69,8 @@ def _default_grid():
 
 
 def _inputs(gamma, p, n_cells, f):
-    """Validated inputs of array_factor and the arrays every evaluation of
-    them shares: (freqs, gammas, phase_step, excitation).
-    phase_step is k0 p of each frequency and excitation the frequency x
-    cell array exp(-n gamma p)."""
+    """Validated inputs of array_factor: (freqs, gammas, phase_step), gammas
+    1-D and phase_step k0 p of each frequency."""
     freqs = np.asarray(f, dtype=float)
     gammas = np.asarray(gamma, dtype=complex)
     if freqs.ndim > 1 or gammas.shape != freqs.shape:
@@ -87,23 +85,35 @@ def _inputs(gamma, p, n_cells, f):
     if p <= 0.0:
         raise ValueError(f"period must be positive, got {p}")
 
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         k0 = 2.0 * math.pi * freqs.reshape(-1) / C0
         phase_step = k0 * p
-    if not np.isfinite(phase_step).all():
-        raise ValueError(f"k0 p must be finite, got {phase_step.max()} at period {p}")
+        # the largest steering phase; for one cell, 0 * inf is NaN
+        last = (n_cells - 1) * phase_step
+    if not np.isfinite(last).all():
+        i = np.flatnonzero(~np.isfinite(last))[0]
+        raise ValueError(
+            f"(n_cells - 1) k0 p must be finite, got {last[i]} from k0 p {phase_step[i]} "
+            f"at period {p} and {n_cells} cells"
+        )
     if not np.isfinite(gammas).all():
         raise ValueError(f"gamma must be finite, got {gammas[~np.isfinite(gammas)].flat[0]}")
+    return freqs, gammas.reshape(-1), phase_step
+
+
+def _excitation(gammas, p, n_cells):
+    """(excitation, total): the frequency x cell array exp(-n gamma p) and
+    its row sums of |exp(-n gamma p)|, which must be finite."""
     with np.errstate(over="ignore", invalid="ignore"):
-        excitation = np.exp(-np.arange(n_cells) * gammas.reshape(-1, 1) * p)
+        excitation = np.exp(-np.arange(n_cells) * gammas[:, None] * p)
         total = np.abs(excitation).sum(axis=1)
     if not np.isfinite(total).all():
         i = np.flatnonzero(~np.isfinite(total))[0]
         raise ValueError(
             f"sum of |exp(-n gamma p)| over {n_cells} cells must be finite, got {total[i]} "
-            f"at gamma {gammas.reshape(-1)[i]} and period {p}"
+            f"at gamma {gammas[i]} and period {p}"
         )
-    return freqs, gammas, phase_step, excitation
+    return excitation, total
 
 
 def _steer(phase_step, sin_theta, out: np.ndarray) -> None:
@@ -126,41 +136,44 @@ def _steer(phase_step, sin_theta, out: np.ndarray) -> None:
     out.imag[..., 0] = step * 0.0
 
 
-def _block_fields(excitation: np.ndarray, n_rows: int, steer):
-    """AF of n_rows angle rows at every frequency, _BLOCK frequencies at a
-    time: steer(lo, hi, block) writes the steering entries of frequencies
-    lo:hi into block, a hi - lo x n_rows x cell buffer reused from block to
-    block. Yields (lo, hi, field), field being that block's frequency x
-    angle AF, overwritten by the next block.
+def _magnitudes(sin_theta, phase_step, excitation, pairs=None) -> np.ndarray:
+    """|AF| of each frequency and angle row, as a frequency x angle array;
+    given pairs (fi, ri, bounds), only at each (frequency fi, angle row ri)
+    pair, the pairs of frequency i being bounds[i]:bounds[i + 1].
 
-    Every block is multiplied in its full shape, whichever rows steer
-    wrote: the BLAS kernel picked for a product depends on its shape, and
-    with it the rounding of a row's sum. Measured with scipy-openblas, a
-    one-row product disagreed with the 721-row call in 1,462 of 1,600
-    values, while products of 2 to 33 selected rows matched it in all
-    139,200; that rests on one BLAS build, so no row set is multiplied on
-    its own.
+    _BLOCK frequencies at a time, one block x angle x cell buffer, reused
+    from block to block, is filled with steering entries: every row in
+    place, or the block's pairs, steered on their own and written to their
+    rows. It is multiplied by the excitation, and |AF| read back from the
+    whole rows or at the pairs. Every block is multiplied in its full
+    shape, whichever rows were written: the BLAS kernel picked for a
+    product depends on its shape, and with it the rounding of a row's sum.
+    Measured with scipy-openblas, a one-row product disagreed with the
+    721-row call in 1,462 of 1,600 values, while products of 2 to 33
+    selected rows matched it in all 139,200; that rests on one BLAS build,
+    so no row set is multiplied on its own.
     """
     n_freqs, n_cells = excitation.shape
-    block_size = min(_BLOCK, n_freqs)
-    steering = np.zeros((block_size, n_rows, n_cells), dtype=complex)
-    field = np.empty((block_size, n_rows, 1), dtype=complex)
+    steering = np.zeros((min(_BLOCK, n_freqs), len(sin_theta), n_cells), dtype=complex)
+    field = np.empty((*steering.shape[:2], 1), dtype=complex)
+    if pairs is None:
+        magnitude = np.empty((n_freqs, len(sin_theta)))
+    else:
+        fi, ri, bounds = pairs
+        magnitude = np.empty(len(fi))
     for lo in range(0, n_freqs, _BLOCK):
         hi = min(lo + _BLOCK, n_freqs)
-        steer(lo, hi, steering[: hi - lo])
+        if pairs is None:
+            _steer(phase_step[lo:hi, None], sin_theta, steering[: hi - lo])
+            at, out = slice(None), magnitude[lo:hi]
+        else:
+            k = slice(bounds[lo], bounds[hi])
+            at, out = (fi[k] - lo, ri[k]), magnitude[k]
+            rows = np.empty((len(out), n_cells), dtype=complex)
+            _steer(phase_step[fi[k]], sin_theta[ri[k]], rows)
+            steering[at] = rows
         np.matmul(steering[: hi - lo], excitation[lo:hi, :, None], out=field[: hi - lo])
-        yield lo, hi, field[: hi - lo, :, 0]
-
-
-def _magnitudes(sin_theta, phase_step, excitation) -> np.ndarray:
-    """|AF| of each frequency and angle row, as a frequency x angle array."""
-
-    def steer(lo, hi, block):
-        _steer(phase_step[lo:hi, None], sin_theta, block)
-
-    magnitude = np.empty((len(phase_step), len(sin_theta)))
-    for lo, hi, field in _block_fields(excitation, len(sin_theta), steer):
-        np.abs(field, out=magnitude[lo:hi])
+        np.abs(field[: hi - lo, :, 0][at], out=out)
     return magnitude
 
 
@@ -219,9 +232,9 @@ def array_factor(
     value each (floats come back) or 1-D arrays of one length, one
     pattern per frequency (arrays come back).
     """
-    freqs, _, phase_step, excitation = _inputs(gamma, p, n_cells, f)
+    freqs, gammas, phase_step = _inputs(gamma, p, n_cells, f)
     theta, sin_theta = _default_grid()
-    magnitude = _magnitudes(sin_theta, phase_step, excitation)
+    magnitude = _magnitudes(sin_theta, phase_step, _excitation(gammas, p, n_cells)[0])
     db, main, width = _db_and_beams(
         np.tile(theta, len(phase_step)),
         magnitude.reshape(-1),
@@ -263,8 +276,9 @@ def _sin_squared(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _screen(gammas, p, n_cells, phase_step, sin_theta, excitation):
-    """Frequency x angle mask of the rows _beams evaluates exactly.
+def _screen(gammas, p, n_cells, phase_step, sin_theta, total):
+    """Frequency x angle mask of the rows _beams evaluates exactly, total
+    being each frequency's sum of |exp(-n gamma p)|.
 
     The estimate is the geometric series in closed form (Balanis, Antenna
     Theory, 3rd ed., sec. 6.3): with r = exp(-alpha p) and psi = k0 p sin
@@ -298,7 +312,7 @@ def _screen(gammas, p, n_cells, phase_step, sin_theta, excitation):
         den = half
         num /= den
         estimate = np.sqrt(num, out=num)
-    total = np.abs(excitation).sum(axis=1, keepdims=True)
+    total = total[:, None]
     # a vanishing denominator (r and psi within 1e-75 of 1 and 0, where the
     # quotient is 0/0 or loses its digits to underflow) has |AF| = sum r^n
     np.copyto(estimate, total, where=~(den > _SCREEN_TINY))
@@ -316,40 +330,21 @@ def _screen(gammas, p, n_cells, phase_step, sin_theta, excitation):
     return exact
 
 
-def _pair_magnitudes(fi, ri, bounds, sin_theta, phase_step, excitation) -> np.ndarray:
-    """|AF| at each (frequency fi, angle row ri) pair, the pairs of
-    frequency i being bounds[i]:bounds[i + 1]: one exp per steering entry
-    of the pairs, each block's buffer written at its own pairs only, and
-    |AF| read back there."""
-    steering = np.empty((len(fi), excitation.shape[1]), dtype=complex)
-    _steer(phase_step[fi], sin_theta[ri], steering)
-    magnitude = np.empty(len(fi))
-
-    def steer(lo, hi, block):
-        k = slice(bounds[lo], bounds[hi])
-        block[fi[k] - lo, ri[k]] = steering[k]
-
-    for lo, hi, field in _block_fields(excitation, len(sin_theta), steer):
-        k = slice(bounds[lo], bounds[hi])
-        np.abs(field[fi[k] - lo, ri[k]], out=magnitude[k])
-    return magnitude
-
-
 def _beams(gamma, p, n_cells, f):
     """array_factor's main_beam_deg and beamwidth_3db_deg, bit for bit,
     from exact |AF| on the few rows that can decide them; see
-    beams_for_frequency. The inputs are checked whole, then screened and
-    evaluated _BEAM_SLICE frequencies at a time."""
-    freqs, gammas, phase_step, excitation = _inputs(gamma, p, n_cells, f)
+    beams_for_frequency. The inputs are checked whole; the excitation is
+    built, screened and evaluated _BEAM_SLICE frequencies at a time."""
+    freqs, gammas, phase_step = _inputs(gamma, p, n_cells, f)
     theta, sin_theta = _default_grid()
-    gammas = gammas.reshape(-1)
     main, width = np.empty((2, len(phase_step)))
     for lo in range(0, len(phase_step), _BEAM_SLICE):
         k = slice(lo, lo + _BEAM_SLICE)
-        exact = _screen(gammas[k], p, n_cells, phase_step[k], sin_theta, excitation[k])
+        excitation, total = _excitation(gammas[k], p, n_cells)
+        exact = _screen(gammas[k], p, n_cells, phase_step[k], sin_theta, total)
         fi, ri = np.divmod(np.flatnonzero(exact), exact.shape[1])
         bounds = np.searchsorted(fi, np.arange(len(exact) + 1))
-        magnitude = _pair_magnitudes(fi, ri, bounds, sin_theta, phase_step[k], excitation[k])
+        magnitude = _magnitudes(sin_theta, phase_step[k], excitation, (fi, ri, bounds))
         _, main[k], width[k] = _db_and_beams(theta[ri], magnitude, bounds)
     if freqs.ndim == 0:
         return float(main[0]), float(width[0])
@@ -397,8 +392,9 @@ def beams_for_frequency(
     for bit, without building the whole pattern.
 
     f is one frequency (floats come back) or a 1-D array of any length
-    (arrays come back, screened _BEAM_SLICE frequencies at a time so that
-    the frequency x angle arrays keep their size); leakage_np_per_cell is as
+    (arrays come back, built and screened _BEAM_SLICE frequencies at a time
+    so that the excitation and the frequency x angle arrays keep their
+    size); leakage_np_per_cell is as
     for pattern_for_frequency. Only the argmax and the two -3 dB crossings
     of each cut reach the result, so a closed-form screen (_screen) picks
     the rows that can decide them: the peak candidates, within twice the

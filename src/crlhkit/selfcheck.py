@@ -48,6 +48,10 @@ TRACE_SEED = 0x5EED
 N_TRACE_FREQS = 20
 
 _EVANESCENT = REGIONS.index(Region.EVANESCENT)
+# What a design the parser accepts can raise on its way through the model:
+# its errors, a value out of a function's domain, and an overflow. Each
+# fails the check it reaches, and the other checks still run.
+_FAILURES = (CrlhError, ValueError, ArithmeticError)
 
 Cells = dict[int, CrlhUnitCell]
 Sweeps = dict[int, DispersionSweep]
@@ -198,17 +202,20 @@ def check_trace_identity(config: RunConfig, cells: Cells) -> tuple[bool, str]:
     """trace(M^8) equals 2 cosh(8 gamma p) at random frequencies."""
     rng = np.random.default_rng(TRACE_SEED)
     worst = 0.0
-    for cell in cells.values():
+    for n, cell in cells.items():
         freqs = rng.uniform(config.f_start, config.f_stop, N_TRACE_FREQS)
         betas, alphas = bloch_gamma(cell, freqs)
         with np.errstate(all="ignore"):
             a, b, c = _chain(cell, freqs)
-        m = np.stack([a, b, c, a], axis=-1).reshape(-1, 2, 2)
-        m8 = np.linalg.matrix_power(m, 8)
+            m = np.stack([a, b, c, a], axis=-1).reshape(-1, 2, 2)
+            m8 = np.linalg.matrix_power(m, 8)
         traces = (m8[:, 0, 0] + m8[:, 1, 1]).tolist()
-        for trace, beta, alpha in zip(traces, betas.tolist(), alphas.tolist()):
+        for f, trace, beta, alpha in zip(freqs.tolist(), traces, betas.tolist(), alphas.tolist()):
             gp = complex(alpha, beta) * cell.period
-            expected = 2.0 * cmath.cosh(8.0 * gp)
+            try:
+                expected = 2.0 * cmath.cosh(8.0 * gp)
+            except OverflowError:
+                return False, f"{n}f: 2 cosh(8 gamma p) overflows at {f / 1e9:.6f} GHz"
             rel = abs(trace - expected) / max(1.0, abs(expected))
             worst = max(worst, rel)
     shown = f"< {TRACE_NOISE:.0e}" if worst < TRACE_NOISE else f"{worst:.2e}"
@@ -235,14 +242,14 @@ def check_backward_slope(sweeps: Sweeps) -> tuple[bool, str]:
 
 
 def _run(name: str, check, *args) -> CheckResult:
-    """One check as a named result. A CrlhError it raises, or one passed in
-    place of its inputs, fails it with the error's message."""
+    """One check as a named result. A _FAILURES error it raises, or one
+    passed in place of its inputs, fails it with the error's message."""
     try:
         for arg in args:
-            if isinstance(arg, CrlhError):
+            if isinstance(arg, _FAILURES):
                 raise arg
         passed, detail = check(*args)
-    except CrlhError as exc:
+    except _FAILURES as exc:
         return CheckResult(name, False, str(exc))
     return CheckResult(name, passed, detail)
 
@@ -257,13 +264,13 @@ def run_all(config: RunConfig) -> list[CheckResult]:
     try:
         cells = {n: config.cell(n) for n in config.target_states()}
         sweeps = {n: _sweep(config, cell) for n, cell in cells.items()}
-    except CrlhError as exc:
+    except _FAILURES as exc:
         cells = sweeps = f0s = exc
     else:
         try:
             bracket = (config.f_start, config.f_stop)
             f0s = {n: transition_frequency(cell, bracket=bracket) for n, cell in cells.items()}
-        except CrlhError as exc:
+        except _FAILURES as exc:
             f0s = exc
     return [
         _run("series-capacitance anchor", check_capacitance_anchor, config),

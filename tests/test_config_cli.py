@@ -334,6 +334,36 @@ class TestNumberFormat:
         assert fmt(9.3e9) == "9.30000000e+09"
         assert fmt(-0.0433431962168525e-12) == "-4.33431962e-14"
 
+    @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+    def test_non_finite_value_refused(self, x):
+        with pytest.raises(ValueError, match=f"cannot print the non-finite value {x}"):
+            fmt(x)
+
+    @pytest.mark.parametrize("fmt_", ["csv", "json"])
+    @pytest.mark.parametrize(
+        "argv, text, field",
+        [
+            (["idc"], "finger_length_mm = 1.7e308\n", "c_series_F"),
+            (["idc"], "z0_line_ohm = 1.7e308\n", "l_series_H"),
+            (
+                ["cell", "calibrate"],
+                "finger_length_mm = 1e-300\ntarget_4_ghz = 0.001\n",
+                "l_r_nH",
+            ),
+        ],
+        ids=["idc-finger", "idc-z0", "calibrate"],
+    )
+    def test_non_finite_output_is_one_error(self, tmp_path, capsys, argv, text, field, fmt_):
+        # each printed Infinity (not JSON) or inf before; nothing is written now
+        path = write_cfg(tmp_path, text)
+        out = tmp_path / "out"
+        for extra in ([], ["--out", str(out)]):
+            assert main([*argv, "--config", path, "--format", fmt_, *extra]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.splitlines() == [f"error: cannot print the non-finite {field} inf"]
+        assert not out.exists()
+
 
 class TestCliCommands:
     def test_idc_json(self, capsys):
@@ -523,13 +553,20 @@ class TestCliCommands:
         [["reproduce"], ["cell", "calibrate", "--fingers", "3"], ["sweep", "--out", "{out}"]],
     )
     def test_tiny_target_is_an_error_naming_the_state(self, tmp_path, capsys, argv):
-        # 2 pi f0 squared times C_L underflows to 0 for this target
+        # 2 pi f0 squared times C_L underflows to 0 for this target; reproduce
+        # FAILs each per-state check with the error and still runs the others
         path = write_cfg(tmp_path, "target_3_ghz = 1e-300\n")
         argv = [a.format(out=tmp_path / "out") for a in argv]
         assert main([*argv, "--config", path]) == 1
         captured = capsys.readouterr()
-        assert captured.err.startswith("error: cannot calibrate the 3-finger state: ")
-        assert captured.err.count("\n") == 1
+        error = "cannot calibrate the 3-finger state: "
+        if argv[0] == "reproduce":
+            lines = captured.out.splitlines()
+            assert captured.err == "" and lines[-1] == "2/8 checks passed"
+            assert sum(line.split(": ", 1)[1].startswith(error) for line in lines[:-1]) == 6
+        else:
+            assert captured.err.startswith(f"error: {error}")
+            assert captured.err.count("\n") == 1
 
     def test_sweep_without_a_target_state_is_one_error(self, tmp_path, capsys):
         path = write_cfg(tmp_path, NO_TARGETS)
@@ -673,6 +710,41 @@ class TestCliCommands:
         doc = json.loads(capsys.readouterr().out)
         assert [r["passed"] for r in doc] == [True, True, False, False, True, False, True, True]
         assert doc[2]["detail"] == failed[0].split(": ", 1)[1]
+
+    @pytest.mark.parametrize(
+        "text, failed, detail",
+        [
+            # 2 cosh(8 gamma p) of the 4-finger state overflows
+            ("target_4_ghz = 1e-09\n", 4, "4f: 2 cosh(8 gamma p) overflows at 9.126536 GHz"),
+            # no 2-finger state can be calibrated
+            ("finger_length_mm = 1.7e308\n", 7, "cannot calibrate the 2-finger state: "),
+            # the steering phase over the aperture overflows
+            ("period_mm = 1.7e308\n", 4, "(n_cells - 1) k0 p must be finite, got inf"),
+        ],
+        ids=["trace-overflow", "uncalibrated", "steering-overflow"],
+    )
+    def test_reproduce_reports_every_check_of_a_design_that_overflows(
+        self, tmp_path, text, failed, detail
+    ):
+        # a child process, so that a numpy warning would reach its stderr
+        proc = run_python("-m", "crlhkit.cli", "reproduce", "--config", write_cfg(tmp_path, text))
+        assert proc.returncode == 1
+        assert proc.stderr == ""
+        lines = proc.stdout.splitlines()
+        assert len(lines) == 9 and lines[-1] == f"{8 - failed}/8 checks passed"
+        assert sum(line.startswith("FAIL  ") for line in lines) == failed
+        assert any(line.split(": ", 1)[1].startswith(detail) for line in lines[:-1])
+
+    @pytest.mark.parametrize("command", ["pattern", "sweep"])
+    def test_overflowing_steering_phase_is_one_error(self, tmp_path, capsys, command):
+        # k0 p is finite at a 1.7e305 m period, but not over 7 cells
+        path = write_cfg(tmp_path, "period_mm = 1.7e308\n")
+        assert main([command, "--config", path, "--out", str(tmp_path / "out")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: (n_cells - 1) k0 p must be finite, got inf from k0 p ")
+        assert not (tmp_path / "out").exists()
 
     def test_reproduce_without_a_target_state_fails_each_state_check(self, tmp_path, capsys):
         path = write_cfg(tmp_path, NO_TARGETS)

@@ -14,6 +14,7 @@ from crlhkit.geometry import C0
 from crlhkit.radiation import (
     _beams,
     _default_grid,
+    _excitation,
     _inputs,
     _screen,
     _sin_squared,
@@ -215,12 +216,27 @@ class TestMirroredSteering:
             with pytest.raises(ValueError, match="k0 p must be finite"):
                 call(0.0j, P, 8, 1e308)
 
+    def test_overflowing_steering_phase_rejected(self):
+        # k0 p is 3.3e307 at a 1.7e305 m period; over 7 cells of phase it
+        # overflows, and every |AF| would be NaN
+        p = 1.7e305
+        assert math.isfinite(2.0 * math.pi * F0 / C0 * p)
+        for call in (array_factor, _beams):
+            with pytest.raises(ValueError, match=r"\(n_cells - 1\) k0 p must be finite, got inf"):
+                call(0.3j, p, 8, F0)
+        assert _beams(0.3j, p, 1, F0) == (-90.0, 180.0)
+
 
 def exact_rows(gamma, p, n_cells, f):
     """The rows per frequency that _beams evaluates exactly."""
-    _, gammas, phase_step, excitation = _inputs(gamma, p, n_cells, f)
-    exact = _screen(gammas.reshape(-1), p, n_cells, phase_step, _default_grid()[1], excitation)
-    return exact.sum(axis=1)
+    return screened(gamma, p, n_cells, f).sum(axis=1)
+
+
+def screened(gamma, p, n_cells, f):
+    """The frequency x angle mask of the pairs _beams evaluates exactly."""
+    _, gammas, phase_step = _inputs(gamma, p, n_cells, f)
+    total = _excitation(gammas, p, n_cells)[1]
+    return _screen(gammas, p, n_cells, phase_step, _default_grid()[1], total)
 
 
 class TestBeams:
@@ -281,12 +297,20 @@ class TestBeams:
     def test_steers_only_the_screened_pairs(self):
         f = np.linspace(8.8e9, 9.9e9, 11)
         gamma = 5.0 + 1j * np.linspace(-0.5, 0.5, 11) * (2.0 * math.pi * f / C0)
-        n_pairs = exact_rows(gamma, P, 8, f).sum()
-        assert n_pairs < 12 * len(f)
+        exact = screened(gamma, P, 8, f)
+        assert exact.sum() < 12 * len(f)
+        phase_step, sin_theta = _inputs(gamma, P, 8, f)[2], _default_grid()[1]
         with mock.patch.object(radiation, "_steer", wraps=radiation._steer) as steer:
             _beams(gamma, P, 8, f)
-        assert steer.call_count == 1
-        assert steer.call_args.args[2].shape == (n_pairs, 8)
+        steered = []
+        for call in steer.call_args_list:
+            fi = [np.flatnonzero(phase_step == x)[0] for x in call.args[0]]
+            ri = [np.flatnonzero(sin_theta == x)[0] for x in call.args[1]]
+            # the pairs of one block only, each steered once per cell
+            assert len({i // radiation._BLOCK for i in fi}) == 1
+            assert call.args[2].shape == (len(fi), 8)
+            steered += zip(fi, ri)
+        assert sorted(steered) == list(zip(*np.nonzero(exact)))
 
     def test_many_frequencies_take_the_memory_of_one_slice(self, cells):
         # 20,000 frequencies in one call: screened whole, the frequency x
@@ -304,6 +328,36 @@ class TestBeams:
         ]
         assert np.array_equal(beams, np.concatenate([b for b, _ in slices]))
         assert np.array_equal(widths, np.concatenate([w for _, w in slices]))
+
+    def test_many_cells_take_the_memory_of_one_slice(self, cells):
+        # 5,000 frequencies at 1,000 cells: an excitation built whole would
+        # take 80 MB, and its |exp(-n gamma p)| as much again
+        f = np.linspace(7.5e9, 12.0e9, 5_000)
+        tracemalloc.start()
+        try:
+            beams_for_frequency(cells[4], f, 1_000, 0.05)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 60e6
+
+    def test_every_row_exact_takes_the_memory_of_one_block(self):
+        # a 2 m period at 300 cells puts N k0 p past the screen's limit, so
+        # every row is exact; steered all at once, the slice's 64 x 721 x
+        # 300 entries would take 220 MB, twice over
+        f = np.linspace(8.0e9, 12.0e9, 64)
+        gamma = 0.05 + 1j * np.linspace(-0.5, 0.5, 64) * (2.0 * math.pi * f / C0)
+        assert (exact_rows(gamma, 2.0, 300, f) == 721).all()
+        tracemalloc.start()
+        try:
+            beams, widths = _beams(gamma, 2.0, 300, f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 60e6
+        pats = array_factor(gamma, 2.0, 300, f)
+        assert (beams == pats.main_beam_deg).all()
+        assert (widths == pats.beamwidth_3db_deg).all()
 
     def test_tan_form_of_sin_squared(self):
         # the screen takes it of psi/2 in [-pi/2, pi/2] and of N psi/2, N < 80
