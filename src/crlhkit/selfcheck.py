@@ -217,6 +217,9 @@ def check_trace_identity(config: RunConfig, cells: Cells) -> tuple[bool, str]:
             except OverflowError:
                 return False, f"{n}f: 2 cosh(8 gamma p) overflows at {f / 1e9:.6f} GHz"
             rel = abs(trace - expected) / max(1.0, abs(expected))
+            if not math.isfinite(rel):
+                side = "2 cosh(8 gamma p)" if cmath.isfinite(trace) else "trace(M^8)"
+                return False, f"{n}f: {side} is not finite at {f / 1e9:.6f} GHz"
             worst = max(worst, rel)
     shown = f"< {TRACE_NOISE:.0e}" if worst < TRACE_NOISE else f"{worst:.2e}"
     return (

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import crlhkit
 from crlhkit import selfcheck
 from crlhkit.bloch import MAX_N_POINTS, REGIONS, dispersion_sweep
-from crlhkit.cell import resonances
+from crlhkit.cell import CrlhUnitCell, resonances
 from crlhkit.cli import _jsonify, fmt, main
 from crlhkit.config import (
     _FLOAT_KEYS,
@@ -809,6 +809,14 @@ class TestCliCommands:
         monkeypatch.setattr(selfcheck, "TRACE_NOISE", 0.0)
         ok, detail = selfcheck.check_trace_identity(config, cells)
         assert ok and re.match(r"worst relative error \d\.\d\de-\d\d over 20 ", detail)
+
+    def test_trace_identity_fails_on_a_trace_that_is_not_finite(self, config):
+        # a huge shunt admittance overflows M^4 into NaN while
+        # 2 cosh(8 gamma p) stays near 1e139; max() would drop the NaN
+        cell = CrlhUnitCell(l_r=1e-300, c_r=1.8e296, l_l=1.0, c_l=1e300, period=5e-3)
+        ok, detail = selfcheck.check_trace_identity(config, {2: cell})
+        assert not ok
+        assert re.fullmatch(r"2f: trace\(M\^8\) is not finite at \d+\.\d{6} GHz", detail)
 
     def test_reproduce_detects_detuned_substrate(self, tmp_path, capsys):
         path = write_cfg(tmp_path, "epsilon_r = 1.0\n")
