@@ -1,6 +1,12 @@
 import pytest
+from hypothesis import settings
 
 from crlhkit import resolve_config
+
+# CI selects this profile with --hypothesis-profile=ci: five times the
+# default 100 examples for every property that does not fix its own count,
+# the beam screen's equivalence and bound properties among them.
+settings.register_profile("ci", max_examples=500)
 
 
 @pytest.fixture(scope="session")

@@ -229,14 +229,67 @@ class TestMirroredSteering:
 
 def exact_rows(gamma, p, n_cells, f):
     """The rows per frequency that _beams evaluates exactly."""
-    return screened(gamma, p, n_cells, f).sum(axis=1)
+    return np.diff(screened(gamma, p, n_cells, f)[2])
 
 
 def screened(gamma, p, n_cells, f):
-    """The frequency x angle mask of the pairs _beams evaluates exactly."""
+    """(fi, ri, bounds): the (frequency, row) pairs _beams evaluates exactly."""
     _, gammas, phase_step = _inputs(gamma, p, n_cells, f)
     total = _excitation(gammas, p, n_cells)[1]
     return _screen(gammas, p, n_cells, phase_step, _default_grid()[1], total)
+
+
+def assert_screen_matches_the_oracle(gamma, p, n_cells, f):
+    """The screen picks the pairs of the oracle's dense screen, in order."""
+    _, gammas, phase_step = _inputs(gamma, p, n_cells, f)
+    total = _excitation(gammas, p, n_cells)[1]
+    dense = radiation_oracle.screen_mask(
+        gammas, p, n_cells, phase_step, _default_grid()[1], total
+    )
+    fi, ri, bounds = screened(gamma, p, n_cells, f)
+    assert np.array_equal(fi, np.nonzero(dense)[0]) and np.array_equal(ri, np.nonzero(dense)[1])
+    assert np.array_equal(bounds, np.searchsorted(fi, np.arange(len(f) + 1)))
+
+
+def steered_beam_inputs(seed, n_freqs, p, beta, lossy):
+    """Frequencies and gammas of TestBeams' first distribution: 6-20 GHz,
+    beta as a fraction of k0, in rad/m or zero, lossless or lossy."""
+    rng = np.random.default_rng(seed)
+    f = rng.uniform(6e9, 20e9, n_freqs)
+    k0 = 2.0 * math.pi * f / C0
+    betas = {
+        "k0": rng.uniform(-1.3, 1.3, n_freqs) * k0,
+        "rad_per_m": rng.uniform(-400.0, 400.0, n_freqs),
+        "zero": np.zeros(n_freqs),
+    }[beta]
+    alphas = np.where(rng.random(n_freqs) < 0.5, 0.0, rng.uniform(0.0, 30.0, n_freqs))
+    return f, betas * 1j + (alphas if lossy else 0.0)
+
+
+def wide_beam_inputs(seed, n_freqs):
+    """Frequencies and gammas of TestBeams' second distribution: 0.1-50 GHz,
+    beta within 1.3 k0, and growing waves."""
+    rng = np.random.default_rng(seed)
+    f = np.exp(rng.uniform(math.log(1e8), math.log(5e10), n_freqs))
+    beta = rng.uniform(-1.3, 1.3, n_freqs) * (2.0 * math.pi * f / C0)
+    alpha = np.where(rng.random(n_freqs) < 0.3, 0.0, rng.uniform(-0.5, 30.0, n_freqs))
+    return f, alpha + 1j * beta
+
+
+STEERED = dict(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    n_freqs=st.integers(min_value=1, max_value=69),
+    n_cells=st.integers(min_value=1, max_value=40),
+    p=st.floats(min_value=5e-3, max_value=20e-3),
+    beta=st.sampled_from(["k0", "rad_per_m", "zero"]),
+    lossy=st.booleans(),
+)
+WIDE = dict(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    n_freqs=st.integers(min_value=1, max_value=20),
+    n_cells=st.integers(min_value=1, max_value=79),
+    log_p=st.floats(min_value=math.log(0.3e-3), max_value=math.log(50e-3)),
+)
 
 
 class TestBeams:
@@ -244,50 +297,63 @@ class TestBeams:
     bit for bit, from exact values on the rows the screen picks."""
 
     @settings(max_examples=150, deadline=None)
-    @given(
-        seed=st.integers(min_value=0, max_value=2**32 - 1),
-        n_freqs=st.integers(min_value=1, max_value=69),
-        n_cells=st.integers(min_value=1, max_value=40),
-        p=st.floats(min_value=5e-3, max_value=20e-3),
-        beta=st.sampled_from(["k0", "rad_per_m", "zero"]),
-        lossy=st.booleans(),
-    )
+    @given(**STEERED)
     def test_equals_array_factor(self, seed, n_freqs, n_cells, p, beta, lossy):
         # 6-20 GHz on 5-20 mm periods puts grating lobes on the grid
-        rng = np.random.default_rng(seed)
-        f = rng.uniform(6e9, 20e9, n_freqs)
-        k0 = 2.0 * math.pi * f / C0
-        betas = {
-            "k0": rng.uniform(-1.3, 1.3, n_freqs) * k0,
-            "rad_per_m": rng.uniform(-400.0, 400.0, n_freqs),
-            "zero": np.zeros(n_freqs),
-        }[beta]
-        alphas = np.where(rng.random(n_freqs) < 0.5, 0.0, rng.uniform(0.0, 30.0, n_freqs))
-        gamma = betas * 1j + (alphas if lossy else 0.0)
+        f, gamma = steered_beam_inputs(seed, n_freqs, p, beta, lossy)
         pats = array_factor(gamma, p, n_cells, f)
         beams, widths = _beams(gamma, p, n_cells, f)
         assert (beams == pats.main_beam_deg).all()
         assert (widths == pats.beamwidth_3db_deg).all()
 
     @settings(max_examples=100, deadline=None)
-    @given(
-        seed=st.integers(min_value=0, max_value=2**32 - 1),
-        n_freqs=st.integers(min_value=1, max_value=20),
-        n_cells=st.integers(min_value=1, max_value=79),
-        log_p=st.floats(min_value=math.log(0.3e-3), max_value=math.log(50e-3)),
-    )
+    @given(**WIDE)
     def test_equals_array_factor_across_bands_and_periods(self, seed, n_freqs, n_cells, log_p):
         # 0.1-50 GHz on 0.3-50 mm periods, from an aperture of a fraction of
         # a wavelength to one with many grating lobes, and growing waves
-        rng = np.random.default_rng(seed)
-        f = np.exp(rng.uniform(math.log(1e8), math.log(5e10), n_freqs))
-        beta = rng.uniform(-1.3, 1.3, n_freqs) * (2.0 * math.pi * f / C0)
-        alpha = np.where(rng.random(n_freqs) < 0.3, 0.0, rng.uniform(-0.5, 30.0, n_freqs))
-        gamma = alpha + 1j * beta
+        f, gamma = wide_beam_inputs(seed, n_freqs)
         pats = array_factor(gamma, math.exp(log_p), n_cells, f)
         beams, widths = _beams(gamma, math.exp(log_p), n_cells, f)
         assert (beams == pats.main_beam_deg).all()
         assert (widths == pats.beamwidth_3db_deg).all()
+
+    # the screen's equivalence properties take the hypothesis profile's
+    # example count: 100 by default, 500 under --hypothesis-profile=ci
+    @settings(deadline=None)
+    @given(**STEERED)
+    def test_screen_equals_the_dense_screen(self, seed, n_freqs, n_cells, p, beta, lossy):
+        f, gamma = steered_beam_inputs(seed, n_freqs, p, beta, lossy)
+        assert_screen_matches_the_oracle(gamma, p, n_cells, f)
+
+    @settings(deadline=None)
+    @given(**WIDE)
+    def test_screen_equals_the_dense_screen_across_bands_and_periods(
+        self, seed, n_freqs, n_cells, log_p
+    ):
+        f, gamma = wide_beam_inputs(seed, n_freqs)
+        assert_screen_matches_the_oracle(gamma, math.exp(log_p), n_cells, f)
+
+    @pytest.mark.parametrize(
+        "p, n_cells, lobes",
+        [(50e-3, 8, "several"), (50e-3, 24, "several"), (0.2, 8, "past the cap")],
+    )
+    def test_equals_array_factor_with_grating_lobes(self, p, n_cells, lobes):
+        # at 20 GHz a 50 mm period puts six or seven lobe centres on the
+        # grid, each screened from its bounds; a 200 mm period puts 26 or
+        # 27, past _MAX_LOBES, and every row is estimated
+        f = np.linspace(19.5e9, 20.5e9, 9)
+        k0 = 2.0 * math.pi * f / C0
+        gamma = np.array([0.0, 0.0, 2.0, 5.0, 0.0, 10.0, 1.0, 0.0, 3.0]) + 1j * k0 * np.linspace(
+            -0.9, 0.9, 9
+        )
+        with mock.patch.object(radiation, "_estimate", wraps=radiation._estimate) as estimate:
+            beams, widths = _beams(gamma, p, n_cells, f)
+        estimated = sum(call.args[0].size for call in estimate.call_args_list)
+        assert (estimated >= 721 * len(f)) == (lobes == "past the cap")
+        pats = array_factor(gamma, p, n_cells, f)
+        assert (beams == pats.main_beam_deg).all()
+        assert (widths == pats.beamwidth_3db_deg).all()
+        assert_screen_matches_the_oracle(gamma, p, n_cells, f)
 
     def test_crossings_beyond_the_grid_fall_back_to_its_edges(self):
         # four cells are too short an aperture to fall 3 dB inside the grid
@@ -295,22 +361,27 @@ class TestBeams:
         assert array_factor(0j, P, 4, F0).beamwidth_3db_deg == 180.0
 
     def test_steers_only_the_screened_pairs(self):
+        # 8 cells keep a handful of rows a frequency, steered in one call;
+        # one cell keeps every row, 721 x 11 pairs, steered a block at a time
         f = np.linspace(8.8e9, 9.9e9, 11)
         gamma = 5.0 + 1j * np.linspace(-0.5, 0.5, 11) * (2.0 * math.pi * f / C0)
-        exact = screened(gamma, P, 8, f)
-        assert exact.sum() < 12 * len(f)
-        phase_step, sin_theta = _inputs(gamma, P, 8, f)[2], _default_grid()[1]
-        with mock.patch.object(radiation, "_steer", wraps=radiation._steer) as steer:
-            _beams(gamma, P, 8, f)
-        steered = []
-        for call in steer.call_args_list:
-            fi = [np.flatnonzero(phase_step == x)[0] for x in call.args[0]]
-            ri = [np.flatnonzero(sin_theta == x)[0] for x in call.args[1]]
-            # the pairs of one block only, each steered once per cell
-            assert len({i // radiation._BLOCK for i in fi}) == 1
-            assert call.args[2].shape == (len(fi), 8)
-            steered += zip(fi, ri)
-        assert sorted(steered) == list(zip(*np.nonzero(exact)))
+        sin_theta = _default_grid()[1]
+        for n_cells, calls in ((8, 1), (1, 3)):
+            fi, ri, _ = screened(gamma, P, n_cells, f)
+            assert (len(fi) < 12 * len(f)) == (n_cells == 8)
+            phase_step = _inputs(gamma, P, n_cells, f)[2]
+            with mock.patch.object(radiation, "_steer", wraps=radiation._steer) as steer:
+                _beams(gamma, P, n_cells, f)
+            assert steer.call_count == calls
+            steered = []
+            for call in steer.call_args_list:
+                # within one block buffer's rows, each pair steered once per cell
+                assert call.args[2].shape[0] <= radiation._BLOCK * len(sin_theta)
+                assert call.args[2].shape[1] == n_cells
+                fis = [np.flatnonzero(phase_step == x)[0] for x in call.args[0]]
+                ris = [np.flatnonzero(sin_theta == x)[0] for x in call.args[1]]
+                steered += zip(fis, ris)
+            assert steered == list(zip(fi, ri))
 
     def test_many_frequencies_take_the_memory_of_one_slice(self, cells):
         # 20,000 frequencies in one call: screened whole, the frequency x
@@ -431,6 +502,83 @@ class TestBeams:
         gamma, f = np.array([0.3j, 0.3j]), np.array([1e14, F0])
         assert exact_rows(gamma, P, 40, f).tolist()[0] == 721
         assert_rows_match_one_at_a_time(array_factor(gamma, P, 40, f), gamma.tolist(), P, 40)
+
+
+def bound_inputs(n_cells, alpha_p):
+    """(r, S, Q, exact |AF| as a function of psi) of a cut: r = exp(-alpha p),
+    S the sum of r^n over n < N and Q the sum of r^(2n+1) over n < N - 1."""
+    r = math.exp(-alpha_p)
+    total = math.fsum(r**n for n in range(n_cells))
+    q = math.fsum(r ** (2 * n + 1) for n in range(n_cells - 1))
+    return r, total, q, lambda psi: radiation_oracle.magnitude(alpha_p, 1.0, n_cells, psi)
+
+
+class TestScreenBounds:
+    """The closed-form bounds the screen decides rows by, held to the
+    oracle's exact |AF| on random cuts, growing waves included. They take
+    the hypothesis profile's example count, like the screen's equivalence
+    properties."""
+
+    CUTS = dict(
+        n_cells=st.integers(min_value=2, max_value=79),
+        alpha_p=st.floats(min_value=-0.02, max_value=3.0),
+    )
+
+    @settings(deadline=None)
+    @given(**CUTS, u=st.floats(min_value=-1.0, max_value=1.0))
+    def test_the_three_inequalities(self, n_cells, alpha_p, u):
+        r, total, q, exact = bound_inputs(n_cells, alpha_p)
+        psi = u * math.pi
+        af = exact([psi])[0]
+        tol = 1e-12 * total
+        sin2 = math.sin(psi / 2.0) ** 2
+        # peak radius: |AF|^2 <= S^2 - 4 Q sin^2(psi/2)
+        assert af**2 <= total**2 - 4.0 * q * sin2 + tol * total
+        # surely below: |AF| <= (1 + r^N)/sqrt((1 - r)^2 + 4 r sin^2(psi/2))
+        assert af * math.sqrt((1.0 - r) ** 2 + 4.0 * r * sin2) <= 1.0 + r**n_cells + tol
+        # surely above, on |psi| <= pi/(N - 1): |AF| >= S cos((N - 1) psi/2)
+        psi /= n_cells - 1
+        assert exact([psi])[0] >= total * math.cos((n_cells - 1) * psi / 2.0) - tol
+
+    @settings(deadline=None)
+    @given(**CUTS)
+    def test_af_does_not_rise_up_to_pi_over_n_minus_1(self, n_cells, alpha_p):
+        _, total, _, exact = bound_inputs(n_cells, alpha_p)
+        af = exact(np.linspace(0.0, math.pi / (n_cells - 1), 400))
+        assert (np.diff(af) <= 1e-12 * total).all()
+
+    @settings(deadline=None)
+    @given(
+        **CUTS,
+        low=st.floats(min_value=0.3, max_value=1.0),
+        u=st.floats(min_value=0.0, max_value=1.0),
+    )
+    def test_radii_clear_the_margin_on_the_exact_sum(self, n_cells, alpha_p, low, u):
+        # every row the radii decide lies a margin past its threshold on the
+        # exact |AF|, leaving room for the estimate's own error
+        exact = bound_inputs(n_cells, alpha_p)[3]
+        alpha_p = np.array([alpha_p])
+        total = _excitation(alpha_p + 0j, 1.0, n_cells)[1]
+        low_top = low * total
+        coefficients = radiation._series_coefficients(alpha_p, n_cells)
+        sampled = radiation._estimate(
+            radiation._samples(n_cells)[None], coefficients[:, :, None], n_cells, total[:, None]
+        )
+        peak, above, below = radiation._radii(
+            alpha_p, n_cells, total, coefficients, low_top, sampled
+        )
+        assert 0.0 <= above[0] <= below[0] <= math.pi and 0.0 <= peak[0] <= math.pi
+        m = radiation._SCREEN_MARGIN * total[0]
+        half_power = radiation._HALF_POWER
+        if peak[0] < math.pi:
+            d = peak[0] + u * (math.pi - peak[0])
+            assert exact([d])[0] < low_top[0] - 3.0 * m
+        if above[0] > 0.0:
+            d = u * above[0]
+            assert exact([d])[0] > (total[0] + 2.0 * m) * half_power * (1.0 + 1e-9) + 2.0 * m
+        if below[0] < math.pi:
+            d = below[0] + u * (math.pi - below[0])
+            assert exact([d])[0] < (low_top[0] - m) * half_power * (1.0 - 1e-9) - 2.0 * m
 
 
 class TestPatternForFrequency:
