@@ -303,8 +303,10 @@ def cmd_pattern(config: RunConfig, args) -> int:
 
 
 def cmd_sweep(config: RunConfig, args) -> int:
+    import numpy as np
+
     from .bloch import transition_frequency
-    from .radiation import beams_for_frequency
+    from .radiation import _beams, _gamma_for
     from .table import _dispersion_csvs
 
     out_dir = args.out if args.out is not None else "."
@@ -319,13 +321,15 @@ def cmd_sweep(config: RunConfig, args) -> int:
             print(f"error: {n}-finger state: {exc}", file=sys.stderr)
             return 1
         sweep = _sweep(cell, config)
-        broadside = beams_for_frequency(
-            cell, f0, config.cell_geometry.n_cells, leakage_np_per_cell=args.leakage
-        )
-        solved[n] = cell, f0, sweep, broadside
+        solved[n] = cell, f0, sweep, _gamma_for(cell, f0, args.leakage)
+    # the broadside beams of every state in one call, on the period and
+    # cell count the states share
+    _, f0s, _, gammas = zip(*solved.values())
+    geom = config.cell_geometry
+    beams, widths = _beams(np.array(gammas), geom.period, geom.n_cells, np.array(f0s))
     csv_names = {n: f"dispersion_{n}f.csv" for n in solved}
     states = {}
-    for n, (cell, f0, sweep, (beam, width)) in solved.items():
+    for (n, (_, f0, sweep, _)), beam, width in zip(solved.items(), beams.tolist(), widths.tolist()):
         angles = sweep.scan_deg[sweep.leaky]
         states[str(n)] = {
             "transition_Hz": f0,

@@ -253,12 +253,20 @@ def resolve_config(path: str | None = None, env: dict | None = None) -> RunConfi
     values = load_profile_values(profile)
     if path is not None:
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                text = fh.read()
+            with open(path, "rb") as fh:
+                data = fh.read()
         except FileNotFoundError:
             raise ConfigError(f"config not found: {path}") from None
         except OSError as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from None
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            # the line as parse_config_text counts them
+            lineno = len((data[: exc.start].decode("utf-8") + "x").splitlines())
+            raise ConfigError(
+                f"{path}:{lineno}: not UTF-8 text, byte 0x{data[exc.start]:02x}"
+            ) from None
         overlay = parse_config_text(text, source=path)
         values.update(overlay)
     return _to_run_config(values)

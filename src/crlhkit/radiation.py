@@ -24,9 +24,15 @@ _NULL_FLOOR = 1e-15
 # _BLOCK x len(theta) x n_cells complex values is reused for every block,
 # so transient memory does not grow with the number of frequencies.
 _BLOCK = 4
-# Frequencies per slice of _beams: its slice x 721-angle arrays stay under
-# 0.4 MB each, and as a multiple of _BLOCK it keeps every block's shape.
-_BEAM_SLICE = 64
+# Frequencies per slice of _beams (_beam_slice): at most _BEAM_SLICE, so
+# that the leaky samples of a median design's three states, about 170, are
+# screened in one slice and pay the screen's set-up once; and at most
+# _SLICE_ENTRIES / n_cells, so that the slice's frequency x cell
+# excitation stays near 1 MB and its screened pairs, steered a block's rows
+# at a time, within the block buffer's rows. A multiple of _BLOCK keeps
+# every block's shape.
+_BEAM_SLICE = 256
+_SLICE_ENTRIES = 64_000
 # The beam screen (_screen): its margin relative to sum r^n, the half-power
 # ratio 10^(-3/20), the limit on N (k0 p + |beta p|) below which the
 # screen's and the exact sum's rounding stay far inside that margin (both
@@ -504,16 +510,26 @@ def _screen(gammas, p, n_cells, phase_step, sin_theta, total):
     return fi, ri, fi.searchsorted(np.arange(n_freqs + 1))
 
 
+def _beam_slice(n_cells: int) -> int:
+    """Frequencies per slice of _beams at n_cells cells: 256 up to 250
+    cells, 64 at 1,000."""
+    return min(_BEAM_SLICE, _SLICE_ENTRIES // n_cells) // _BLOCK * _BLOCK
+
+
 def _beams(gamma, p, n_cells, f):
     """array_factor's main_beam_deg and beamwidth_3db_deg, bit for bit,
     from exact |AF| on the few rows that can decide them; see
     beams_for_frequency. The inputs are checked whole; the excitation is
-    built, screened and evaluated _BEAM_SLICE frequencies at a time."""
+    built, screened and evaluated _beam_slice(n_cells) frequencies at a
+    time. Each frequency's result depends on its own gamma and f alone, so
+    the samples of several cells that share p and n_cells can be joined in
+    one call."""
     freqs, gammas, phase_step = _inputs(gamma, p, n_cells, f)
     theta, sin_theta = _default_grid()
     main, width = np.empty((2, len(phase_step)))
-    for lo in range(0, len(phase_step), _BEAM_SLICE):
-        k = slice(lo, lo + _BEAM_SLICE)
+    step = _beam_slice(n_cells)
+    for lo in range(0, len(phase_step), step):
+        k = slice(lo, lo + step)
         excitation, total = _excitation(gammas[k], p, n_cells)
         fi, ri, bounds = _screen(gammas[k], p, n_cells, phase_step[k], sin_theta, total)
         magnitude = _magnitudes(sin_theta, phase_step[k], excitation, (fi, ri, bounds))
@@ -564,8 +580,9 @@ def beams_for_frequency(
     for bit, without building the whole pattern.
 
     f is one frequency (floats come back) or a 1-D array of any length
-    (arrays come back, built and screened _BEAM_SLICE frequencies at a
-    time, so that the excitation and the screen's arrays keep their size);
+    (arrays come back, built and screened up to 256 frequencies at a
+    time, fewer past 250 cells, so that the excitation and the screen's
+    arrays keep their size);
     leakage_np_per_cell is as for pattern_for_frequency. Only the argmax
     and the two -3 dB crossings of each cut reach the result, so a
     closed-form screen (_screen) picks the rows that can decide them: the

@@ -30,7 +30,7 @@ from .bloch import (
 from .cell import CrlhUnitCell
 from .config import RunConfig
 from .errors import CrlhError
-from .radiation import beams_for_frequency
+from .radiation import _beams, _gamma_for
 
 # Reference-geometry series capacitance and its tolerance.
 C_ANCHOR_PF = 0.0867
@@ -146,23 +146,26 @@ def check_closed_stopband(
 
 
 def check_beam_consistency(config: RunConfig, cells: Cells, sweeps: Sweeps) -> tuple[bool, str]:
-    """Array-factor peak agrees with asin(beta/k0) within half a beamwidth."""
+    """Array-factor peak agrees with asin(beta/k0) within half a beamwidth.
+
+    Every state's leaky samples are screened in one beam call, in state
+    order, on the period and cell count that all of the config's states
+    share.
+    """
     n_cells = config.cell_geometry.n_cells
-    worst = 0.0
-    count = 0
-    ok = True
-    for n, cell in cells.items():
-        sweep = sweeps[n]
-        freqs = sweep.f[sweep.leaky]
-        beam, width = beams_for_frequency(cell, freqs, n_cells)
-        miss = np.abs(beam - sweep.scan_deg[sweep.leaky])
-        half = width / 2.0
-        ok = ok and bool((miss <= half).all())
-        worst = max(worst, float((miss / half).max(initial=0.0)))
-        count += len(freqs)
+    leaky = [sweeps[n].leaky for n in cells]
+    freqs = np.concatenate([sweeps[n].f[m] for n, m in zip(cells, leaky)])
+    scan = np.concatenate([sweeps[n].scan_deg[m] for n, m in zip(cells, leaky)])
+    gamma = np.concatenate(
+        [_gamma_for(cell, sweeps[n].f[m], None) for (n, cell), m in zip(cells.items(), leaky)]
+    )
+    beam, width = _beams(gamma, config.cell_geometry.period, n_cells, freqs)
+    miss = np.abs(beam - scan)
+    half = width / 2.0
+    worst = float((miss / half).max(initial=0.0))
     return (
-        ok and count > 0,
-        f"{count} leaky samples, {n_cells} cells, worst miss {worst:.3f} "
+        bool((miss <= half).all()) and len(freqs) > 0,
+        f"{len(freqs)} leaky samples, {n_cells} cells, worst miss {worst:.3f} "
         f"of a half beamwidth",
     )
 

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import crlhkit
-from crlhkit import selfcheck
+from crlhkit import radiation, selfcheck
 from crlhkit.bloch import MAX_N_POINTS, REGIONS, dispersion_sweep
 from crlhkit.cell import CrlhUnitCell, resonances
 from crlhkit.cli import _jsonify, fmt, main
@@ -27,7 +27,7 @@ from crlhkit.config import (
 )
 from crlhkit.errors import ConfigError, CrlhError
 from crlhkit.geometry import MAX_N_CELLS, CellGeometry
-from crlhkit.radiation import array_factor
+from crlhkit.radiation import array_factor, beams_for_frequency
 
 
 @pytest.fixture(autouse=True)
@@ -776,25 +776,54 @@ class TestCliCommands:
         calls = {"transition": [], "beams": []}
 
         def counted(name, fn):
-            def wrapper(cell, *args, **kwargs):
+            def wrapper(*args, **kwargs):
                 calls[name].append(args)
-                return fn(cell, *args, **kwargs)
+                return fn(*args, **kwargs)
 
             return wrapper
 
-        wrapped = {"transition": "transition_frequency", "beams": "beams_for_frequency"}
+        wrapped = {"transition": "transition_frequency", "beams": "_beams"}
         for name, attr in wrapped.items():
             monkeypatch.setattr(selfcheck, attr, counted(name, getattr(selfcheck, attr)))
         assert main(["reproduce"]) == 0
         assert "8/8 checks passed" in capsys.readouterr().out
         assert len(calls["transition"]) == 3
-        # one beam call per state, over all of its leaky samples
+        # one beam call for the run, over every state's leaky samples in
+        # state order, on the period and cell count the states share
         config = resolve_config(env={})
-        freqs = [f for f, _ in calls["beams"]]
-        assert len(freqs) == 3
-        for n, f in zip((2, 3, 4), freqs):
+        ((gamma, p, n_cells, f),) = calls["beams"]
+        assert (p, n_cells) == (config.cell_geometry.period, config.cell_geometry.n_cells)
+        leaky = []
+        for n in (2, 3, 4):
             s = dispersion_sweep(config.cell(n), config.f_start, config.f_stop, config.n_points)
-            assert np.array_equal(f, s.f[s.leaky])
+            leaky.append(s.f[s.leaky])
+        assert all(len(x) > 0 for x in leaky)
+        assert np.array_equal(f, np.concatenate(leaky)) and len(gamma) == len(f)
+
+    @pytest.mark.parametrize("leakage", [[], ["--leakage", "0.05"]], ids=["bloch", "leakage"])
+    def test_sweep_takes_the_broadside_beams_in_one_call(
+        self, tmp_path, monkeypatch, capsys, leakage
+    ):
+        calls = []
+
+        def counted(*args):
+            calls.append((args, beams(*args)))
+            return calls[-1][1]
+
+        beams = radiation._beams
+        monkeypatch.setattr(radiation, "_beams", counted)
+        assert main(["sweep", *leakage, "--out", str(tmp_path)]) == 0
+        states = json.loads((tmp_path / "sweep_summary.json").read_text())["states"]
+        (((gamma, p, n_cells, f), (main_beams, widths)),) = calls
+        config = resolve_config(env={})
+        assert (p, n_cells) == (config.cell_geometry.period, config.cell_geometry.n_cells)
+        assert f.tolist() == [states[n]["transition_Hz"] for n in ("2", "3", "4")]
+        if leakage:
+            assert (gamma.real == 0.05 / p).all()
+        # each state's beam and width equal its own one-frequency call
+        for i, n in enumerate((2, 3, 4)):
+            one = beams_for_frequency(config.cell(n), f[i], n_cells, 0.05 if leakage else None)
+            assert (main_beams[i], widths[i]) == one
 
     def test_elliptic_check_is_worked_out_once(self):
         # it reads no input, so every run_all in a process shares one result
@@ -827,6 +856,15 @@ class TestCliCommands:
     def test_missing_config_is_diagnosed(self, capsys):
         assert main(["idc", "--config", "/no/such/file.cfg"]) == 1
         assert "config not found" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    def test_config_that_is_not_utf8_names_its_file_and_line(self, tmp_path, capsys, newline):
+        path = tmp_path / "override.cfg"
+        path.write_bytes(newline.join(["# sweep", "n_cells = 8", "gap_mm = 0.\xff1", ""]).encode("latin-1"))
+        assert main(["reproduce", "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}:3: not UTF-8 text, byte 0xff\n"
 
     def test_bad_profile_env(self, monkeypatch, capsys):
         monkeypatch.setenv("CRLH_PROFILE", "missing")

@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import radiation_oracle
@@ -15,6 +15,7 @@ from crlhkit.radiation import (
     _beams,
     _default_grid,
     _excitation,
+    _gamma_for,
     _inputs,
     _screen,
     _sin_squared,
@@ -460,6 +461,39 @@ class TestBeams:
         beam, width = beams_for_frequency(cell, freqs[0], n_cells, leakage)
         assert isinstance(beam, float) and isinstance(width, float)
         assert (beam, width) == (one.main_beam_deg, one.beamwidth_3db_deg)
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        states=st.lists(
+            st.tuples(st.sampled_from([2, 3, 4]), CELL_SCALES, R_SERIES, st.integers(0, 600)),
+            min_size=1,
+            max_size=3,
+        ),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        n_cells=st.integers(min_value=1, max_value=40),
+        leakage=st.one_of(st.none(), st.floats(min_value=0.0, max_value=0.3)),
+    )
+    # at 1,000 cells the slice shrinks to 64 frequencies
+    @example(
+        states=[(2, (1.0,) * 4, 0.0, 150), (4, (1.1, 0.9, 1.0, 1.2), 1.0, 37)],
+        seed=1,
+        n_cells=1_000,
+        leakage=None,
+    )
+    def test_one_call_equals_the_per_state_calls(self, cells, states, seed, n_cells, leakage):
+        # the states of one config share its period; each state's 0-600
+        # frequencies, joined in state order, cross the slice length
+        rng = np.random.default_rng(seed)
+        joined = [
+            (perturbed(cells[n], scales, r_series), np.sort(rng.uniform(6e9, 13e9, count)))
+            for n, scales, r_series, count in states
+        ]
+        gamma = np.concatenate([_gamma_for(cell, f, leakage) for cell, f in joined])
+        f = np.concatenate([f for _, f in joined])
+        beams, widths = _beams(gamma, cells[2].period, n_cells, f)
+        each = [beams_for_frequency(cell, f, n_cells, leakage) for cell, f in joined]
+        assert np.array_equal(beams, np.concatenate([b for b, _ in each]))
+        assert np.array_equal(widths, np.concatenate([w for _, w in each]))
 
     def test_screen_keeps_a_handful_of_rows_in_the_leaky_band(self, config, cells):
         n_cells = config.cell_geometry.n_cells
