@@ -44,7 +44,6 @@ _EXPORTS = {
     "radiation": (
         "RadiationPattern",
         "array_factor",
-        "beams_for_frequency",
         "pattern_for_frequency",
     ),
 }

@@ -306,7 +306,7 @@ def cmd_sweep(config: RunConfig, args) -> int:
     import numpy as np
 
     from .bloch import transition_frequency
-    from .radiation import _beams, _gamma_for
+    from .radiation import _gamma_for, array_factor
     from .table import _dispersion_csvs
 
     out_dir = args.out if args.out is not None else "."
@@ -326,10 +326,12 @@ def cmd_sweep(config: RunConfig, args) -> int:
     # cell count the states share
     _, f0s, _, gammas = zip(*solved.values())
     geom = config.cell_geometry
-    beams, widths = _beams(np.array(gammas), geom.period, geom.n_cells, np.array(f0s))
+    pats = array_factor(np.array(gammas), geom.period, geom.n_cells, np.array(f0s))
     csv_names = {n: f"dispersion_{n}f.csv" for n in solved}
     states = {}
-    for (n, (_, f0, sweep, _)), beam, width in zip(solved.items(), beams.tolist(), widths.tolist()):
+    for (n, (_, f0, sweep, _)), beam, width in zip(
+        solved.items(), pats.main_beam_deg.tolist(), pats.beamwidth_3db_deg.tolist()
+    ):
         angles = sweep.scan_deg[sweep.leaky]
         states[str(n)] = {
             "transition_Hz": f0,

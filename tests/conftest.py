@@ -5,7 +5,7 @@ from crlhkit import resolve_config
 
 # CI selects this profile with --hypothesis-profile=ci: five times the
 # default 100 examples for every property that does not fix its own count,
-# the beam screen's equivalence and bound properties among them.
+# the array factor's monotone fall from a lobe centre among them.
 settings.register_profile("ci", max_examples=500)
 
 

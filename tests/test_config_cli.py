@@ -27,7 +27,7 @@ from crlhkit.config import (
 )
 from crlhkit.errors import ConfigError, CrlhError
 from crlhkit.geometry import MAX_N_CELLS, CellGeometry
-from crlhkit.radiation import array_factor, beams_for_frequency
+from crlhkit.radiation import array_factor, pattern_for_frequency
 
 
 @pytest.fixture(autouse=True)
@@ -718,8 +718,9 @@ class TestCliCommands:
             ("target_4_ghz = 1e-09\n", 4, "4f: 2 cosh(8 gamma p) overflows at 9.126536 GHz"),
             # no 2-finger state can be calibrated
             ("finger_length_mm = 1.7e308\n", 7, "cannot calibrate the 2-finger state: "),
-            # the steering phase over the aperture overflows
-            ("period_mm = 1.7e308\n", 4, "(n_cells - 1) k0 p must be finite, got inf"),
+            # a 1.7e305 m period, whose steering phase overflows, puts grating
+            # lobes in view
+            ("period_mm = 1.7e308\n", 4, "1353 leaky samples, 8 cells, largest (k0 p + |beta p|)"),
         ],
         ids=["trace-overflow", "uncalibrated", "steering-overflow"],
     )
@@ -773,32 +774,25 @@ class TestCliCommands:
         assert "detuned gap 0" not in gapless.detail
 
     def test_reproduce_solves_each_state_once(self, monkeypatch, capsys):
-        calls = {"transition": [], "beams": []}
+        calls = []
 
-        def counted(name, fn):
-            def wrapper(*args, **kwargs):
-                calls[name].append(args)
-                return fn(*args, **kwargs)
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return transition(*args, **kwargs)
 
-            return wrapper
-
-        wrapped = {"transition": "transition_frequency", "beams": "_beams"}
-        for name, attr in wrapped.items():
-            monkeypatch.setattr(selfcheck, attr, counted(name, getattr(selfcheck, attr)))
+        transition = selfcheck.transition_frequency
+        monkeypatch.setattr(selfcheck, "transition_frequency", counted)
         assert main(["reproduce"]) == 0
         assert "8/8 checks passed" in capsys.readouterr().out
-        assert len(calls["transition"]) == 3
-        # one beam call for the run, over every state's leaky samples in
-        # state order, on the period and cell count the states share
-        config = resolve_config(env={})
-        ((gamma, p, n_cells, f),) = calls["beams"]
-        assert (p, n_cells) == (config.cell_geometry.period, config.cell_geometry.n_cells)
-        leaky = []
-        for n in (2, 3, 4):
-            s = dispersion_sweep(config.cell(n), config.f_start, config.f_stop, config.n_points)
-            leaky.append(s.f[s.leaky])
-        assert all(len(x) > 0 for x in leaky)
-        assert np.array_equal(f, np.concatenate(leaky)) and len(gamma) == len(f)
+        assert len(calls) == 3
+        # the beam check reads the sweeps alone: no pattern is built
+        proc = run_python(
+            "-c",
+            "import sys; from crlhkit.cli import main; code = main(['reproduce']); "
+            "print('crlhkit.radiation' in sys.modules, code)",
+        )
+        assert proc.stderr == ""
+        assert proc.stdout.splitlines()[-2:] == ["8/8 checks passed", "False 0"]
 
     @pytest.mark.parametrize("leakage", [[], ["--leakage", "0.05"]], ids=["bloch", "leakage"])
     def test_sweep_takes_the_broadside_beams_in_one_call(
@@ -807,23 +801,66 @@ class TestCliCommands:
         calls = []
 
         def counted(*args):
-            calls.append((args, beams(*args)))
+            calls.append((args, whole(*args)))
             return calls[-1][1]
 
-        beams = radiation._beams
-        monkeypatch.setattr(radiation, "_beams", counted)
+        whole = radiation.array_factor
+        monkeypatch.setattr(radiation, "array_factor", counted)
         assert main(["sweep", *leakage, "--out", str(tmp_path)]) == 0
         states = json.loads((tmp_path / "sweep_summary.json").read_text())["states"]
-        (((gamma, p, n_cells, f), (main_beams, widths)),) = calls
+        (((gamma, p, n_cells, f), pats),) = calls
         config = resolve_config(env={})
         assert (p, n_cells) == (config.cell_geometry.period, config.cell_geometry.n_cells)
         assert f.tolist() == [states[n]["transition_Hz"] for n in ("2", "3", "4")]
         if leakage:
             assert (gamma.real == 0.05 / p).all()
-        # each state's beam and width equal its own one-frequency call
+        # each state's pattern equals its own one-frequency call
         for i, n in enumerate((2, 3, 4)):
-            one = beams_for_frequency(config.cell(n), f[i], n_cells, 0.05 if leakage else None)
-            assert (main_beams[i], widths[i]) == one
+            one = pattern_for_frequency(config.cell(n), f[i], n_cells, 0.05 if leakage else None)
+            assert pats.main_beam_deg[i] == one.main_beam_deg
+            assert one.main_beam_deg == states[str(n)]["broadside_beam_deg"]
+            assert pats.beamwidth_3db_deg[i] == one.beamwidth_3db_deg
+            assert np.array_equal(pats.magnitude_db[i], one.magnitude_db)
+
+    @pytest.mark.parametrize(
+        "text, passed, detail",
+        [
+            (
+                "n_cells = 1\n",
+                False,
+                "0.2278 (allow < 1); one cell has a flat pattern and no main beam",
+            ),
+            # a grating lobe comes into view at the top of the band
+            ("period_mm = 20\nfreq_stop_ghz = 12\n", False, "1.22 (allow < 1)"),
+            # beams narrower than the 0.25 deg grid: the grid comparison
+            # missed by 1.040 and 2.185 half beamwidths
+            ("period_mm = 7\nn_cells = 1000\n", True, "0.514 (allow < 1)"),
+            ("period_mm = 9\nn_cells = 1000\n", True, "0.669 (allow < 1)"),
+        ],
+        ids=["one-cell", "grating-lobe", "1000-cells-7mm", "1000-cells-9mm"],
+    )
+    def test_beam_check_is_the_single_beam_condition(self, tmp_path, text, passed, detail):
+        config = resolve_config(write_cfg(tmp_path, text), env={})
+        (beam,) = [r for r in selfcheck.run_all(config) if r.name == "beam consistency"]
+        assert beam.passed is passed
+        assert re.fullmatch(
+            r"\d+ leaky samples, \d+ cells, largest \(k0 p \+ \|beta p\|\)/2 pi "
+            + re.escape(detail),
+            beam.detail,
+        )
+
+    def test_beam_check_fails_a_reach_that_is_not_finite(self, config, cells):
+        # max() would drop the NaN and pass the other samples' margin
+        sweeps = {
+            n: dispersion_sweep(cell, config.f_start, config.f_stop, config.n_points)
+            for n, cell in cells.items()
+        }
+        assert selfcheck.check_beam_consistency(config, cells, sweeps)[0]
+        beta = sweeps[3].beta.copy()
+        beta[np.flatnonzero(sweeps[3].leaky)[0]] = math.nan
+        sweeps[3] = replace(sweeps[3], beta=beta)
+        ok, detail = selfcheck.check_beam_consistency(config, cells, sweeps)
+        assert not ok and detail.endswith("largest (k0 p + |beta p|)/2 pi nan (allow < 1)")
 
     def test_elliptic_check_is_worked_out_once(self):
         # it reads no input, so every run_all in a process shares one result

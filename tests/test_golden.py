@@ -10,6 +10,11 @@ transition frequency became the closed-form shunt resonance f_sh instead of
 a Brent root solved to 1 kHz: the 3-finger transition_Hz went from
 9500000010.0 to 9500000000.0, and the broadside-tuning detail now reads
 0.00e+00 off for every state. Nothing else in those files changed.
+
+The reproduce pin moved once more, when `beam consistency` came to judge the
+closed-form single-beam condition k0 p + |beta p| < 2 pi instead of comparing
+a grid beam with asin(beta/k0): only that check's detail changed, to report
+the largest (k0 p + |beta p|)/2 pi in place of the worst miss.
 """
 
 import hashlib
@@ -31,7 +36,7 @@ DENSE_SWEEP_DIGESTS = {
     "dispersion_4f.csv": "53d081649d8bf14014ff9a00de6341ba0ee1d6ce5230fc705d73d1b2739c8bf4",
     "sweep_summary.json": "de134243cc284e25f249c3e4039710a22f4bfcce0a4b3b53c31a48595de7a345",
 }
-REPRODUCE_JSON_DIGEST = "5789d40e4e8defe4c533de5368ecd52a91c122133be910834130dc477d95729a"
+REPRODUCE_JSON_DIGEST = "334c62812bdbc39369810d211ec8a377d58d9ed7aeaa045c80377c77847cda60"
 # stdout of `pattern` in its three output forms
 PATTERN_DIGESTS = {
     ("--format", "json", "--leakage"): "907bb4d1196ba74040ad04fdc6053ad461f681daa546cb1458ec8ddb8e6c7e25",
