@@ -18,6 +18,7 @@ the largest (k0 p + |beta p|)/2 pi in place of the worst miss.
 """
 
 import hashlib
+import random
 
 import pytest
 
@@ -43,6 +44,62 @@ PATTERN_DIGESTS = {
     ("--freq", "8.5", "--freq", "11"): "ff04ce985eaa83e0aaa61651b9532d5f3824ffee20840b6455dc1cef2c22d92c",
     ("--polar-data",): "a967f99e82fc7eba05b2b90f2a502dc97bdcf794dc4b1ca522920597784927fa",
 }
+
+# `reproduce --json` on designs off the paper's, most of which fail a check:
+# name -> (exit code, sha256 of stdout). FAILURE_DESIGNS builds the inputs.
+FAILURE_DIGESTS = {
+    "perturbed-00": (1, "5c5f3d01534793bc1ed3a6aea564da6d62c66d7287729a2475ea4037197bb162"),
+    "perturbed-01": (1, "6b5d312f921e638c487d3547361836119cae7de133bfdb5419b8986ece531201"),
+    "perturbed-02": (1, "cd63f7b8324fcd86a2f81d798570e829b4cfde9d817c515b697dd92fe9756ade"),
+    "perturbed-03": (1, "f592801834a17713fdff62b0b32a54440947389046feba5dfaa46bd6759b7a75"),
+    "perturbed-04": (1, "9c57112e005386e4106ca9e06986d5628af3f0136db9820aa23865cd84248da2"),
+    "perturbed-05": (1, "a12153e8a3a3589d88e51ab14047826590b656c10c00296f209861ba72373cbf"),
+    "perturbed-06": (1, "a6ab82a4459b4e4ee358930ad52877602271defe134c18370f13e978c15640a4"),
+    "perturbed-07": (1, "a5468536b4d360ef41cb32f4ff77d5ecd58fa5a33ac3b176e41ff3c27e53cad9"),
+    "perturbed-08": (1, "dd4005b1021261261e819a1a1be933c21b82394574d0aecd403dd5a5573fefe2"),
+    "perturbed-09": (1, "0a523a7d541e2ca032a34f11257149f3841ece9228378c1e738b5792b1726d92"),
+    "perturbed-10": (1, "9bfcb6b074b62eec7564dd48aadd47e21669182c297933e0976b87087ce7c200"),
+    "perturbed-11": (1, "994ca712f3b87ff28db67ca6c4c0393d2802516168536ed25ef42d1289dd8537"),
+    "perturbed-12": (1, "c9812f51df12dee79f424a594dd78d2a5565604ba62b172db47ce833355a2716"),
+    "perturbed-13": (1, "a1018683c036c336acf978ea233e84dacca9966790200d63b617e50b88bb8796"),
+    "perturbed-14": (1, "1c827710942a29960d2622df8a3a276b72b54460daa92066ca0d3baa0f55def3"),
+    "perturbed-15": (1, "2ee7ab1d7e316a6b056e57740206422c3709d5ac757f0bce38863d6c547b24cf"),
+    "perturbed-16": (1, "4e5625d824462c6375276606b51f54f6b3385d6df059565af97e69cedca1fae9"),
+    "perturbed-17": (1, "e0be711b9ed771fa7d20157ef7b4404d3298fbd5a864030f205d0012de0b93a6"),
+    "uncalibrated-3f": (1, "f2b42c199f05c873c6d4ca803a1f2e6679e0d5f38da36d88857af3e3a07e932d"),
+    "freq-start-9.4": (1, "57e950f1b93ab5575aec2e5c5b0431f7fb2717640339006450b9cf1dc64fc8e9"),
+    "no-target": (1, "97c96ad1a32c6becf252d29c0a1e04cc5fc7a1fde6b7a4d5a2d8949e53bcc6cc"),
+    "one-cell": (1, "e40b422614795e688dde0b15d70ace5418abc36f500802941a10c2be67af4091"),
+    "grating-lobe": (1, "e16a577bfbda88295bfcad17cc9cc398f27871042568d19f3fb44c3dec61d353"),
+    "trace-overflow": (1, "baed63021a4bb61ca6465253f90216995bf4c4f9fc58828799e9f5da82f44c94"),
+}
+
+
+def failure_designs() -> dict[str, tuple[list[str], str]]:
+    """name -> (extra argv, config text) of the pinned reproduce runs.
+
+    Eighteen paper-default designs with the capacitor stack and the three
+    targets drawn from a fixed seed, then the special cases: a state that
+    cannot be calibrated, a band that misses one transition, no target
+    state, one cell, a grating lobe and a trace that overflows.
+    """
+    rng = random.Random(0xFA11)
+    designs = {}
+    for i in range(18):
+        values = {
+            "finger_length_mm": 0.86 * rng.uniform(0.7, 1.3),
+            "gap_mm": 0.4 * rng.uniform(0.7, 1.3),
+            "epsilon_r": 3.8 * rng.uniform(0.9, 1.1),
+            **{f"target_{n}_ghz": rng.uniform(8.5, 11.0) for n in (2, 3, 4)},
+        }
+        designs[f"perturbed-{i:02d}"] = ([], "".join(f"{k} = {v!r}\n" for k, v in values.items()))
+    designs["uncalibrated-3f"] = ([], "target_3_ghz = 1e-300\n")
+    designs["freq-start-9.4"] = (["--freq-start", "9.4"], "")
+    designs["no-target"] = ([], "target_2_ghz = none\ntarget_3_ghz = none\ntarget_4_ghz = none\n")
+    designs["one-cell"] = ([], "n_cells = 1\n")
+    designs["grating-lobe"] = ([], "period_mm = 20\nfreq_stop_ghz = 12\n")
+    designs["trace-overflow"] = ([], "target_4_ghz = 1e-09\n")
+    return designs
 
 
 @pytest.fixture(autouse=True)
@@ -76,3 +133,14 @@ def test_reproduce_json_is_pinned(capsys):
 def test_pattern_output_is_pinned(flags, capsys):
     assert main(["pattern", *flags]) == 0
     assert sha256(capsys.readouterr().out.encode("utf-8")) == PATTERN_DIGESTS[flags]
+
+
+@pytest.mark.parametrize("name", list(failure_designs()))
+def test_reproduce_json_of_failing_designs_is_pinned(name, tmp_path, capsys):
+    argv, text = failure_designs()[name]
+    path = tmp_path / "design.cfg"
+    path.write_text(text)
+    code = main(["reproduce", "--json", "--config", str(path), *argv])
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert (code, sha256(captured.out.encode("utf-8"))) == FAILURE_DIGESTS[name]
