@@ -8,8 +8,13 @@ impedance has a meaningful real part its sign fixes beta so power flows in
 +z. That makes beta negative in the left-handed pass band and positive in
 the right-handed one, rising through zero at the transition frequency.
 
-Every sample goes through one numpy kernel over an array of frequencies
-(_chain, then _gamma, then classify); a scalar caller passes one frequency.
+Every sample goes through one numpy kernel (_chain, then _gamma, then
+classify) over stacked rows: a row is one cell at its own frequencies, and
+the kernel reads each cell's elements repeated over its row's points. A
+scalar caller passes one frequency, and bloch_gamma, dispersion_sweep and
+transition_frequency are one-row calls. solve() takes every switch state
+of a design through the kernel together and keeps, per state, each result
+or the error that stopped it.
 """
 
 from __future__ import annotations
@@ -17,20 +22,33 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 import numpy as np
 
 from .cell import CrlhUnitCell, resonances
-from .errors import BracketError, PoleError
+from .errors import BracketError, CrlhError, PoleError
 from .geometry import C0, MAX_N_POINTS
+
+if TYPE_CHECKING:
+    from .config import RunConfig
 
 DEFAULT_F_START = 7.5e9
 DEFAULT_F_STOP = 12.0e9
 DEFAULT_N_POINTS = 451
-# Frequencies per pass of the kernel in dispersion_sweep. Its complex
-# temporaries grow with the block, not the grid, so a sweep peaks at about
-# twice its result columns; a dense 15001-point sweep stays one block.
-_SWEEP_BLOCK = 65536
+# Grid points per kernel pass over stacked sweeps. A pass holds whole
+# rows, one cell's grid each, up to this budget; a longer row takes passes
+# of its own in blocks of this size. The complex temporaries grow with the
+# pass, not the grid, so a sweep peaks at about twice its result columns.
+# The six 451-point sweeps of `reproduce` fit one pass each time they are
+# asked for together, and each 15001-point state of a dense sweep is a
+# pass of its own.
+_SWEEP_BLOCK = 16384
+
+# What a design the parser accepts can raise on its way through the model:
+# its errors, a value out of a function's domain, and an overflow. solve()
+# keeps such an error in the slot it stops; anything else propagates.
+_FAILURES = (CrlhError, ValueError, ArithmeticError)
 
 # Attenuation floor separating numerical residue from a real stop band.
 _EVANESCENT_ALPHA_NP_PER_M = 1e-6
@@ -88,39 +106,45 @@ def _k0(f):
     return 2.0 * math.pi * f / C0
 
 
-def _chain(cell: CrlhUnitCell, f: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Chain-matrix entries a (= d), b and c of one symmetric-T cell at each f.
+def _elements(cells: list[CrlhUnitCell], counts: list[int]) -> tuple:
+    """(l_r, c_r, l_l, c_l, r_series, period) of the cells, each repeated
+    over its row's counts[i] points. One cell gives them as floats, so a
+    one-row pass makes no per-point copies."""
+    if len(cells) == 1:
+        (c,) = cells
+        return c.l_r, c.c_r, c.l_l, c.c_l, c.r_series, c.period
+    values = np.array([[c.l_r, c.c_r, c.l_l, c.c_l, c.r_series, c.period] for c in cells])
+    return tuple(np.repeat(values.T, counts, axis=1))
 
-    Half the series branch z = r + j(w L_R - 1/(w C_L)), the full shunt
-    tank y = j(w C_R - 1/(w L_L)), then the other half; the cascade
-    collapses to a = d = 1 + zy/2, b = z + z^2 y/4, c = y.
 
-    Raises ValueError for a frequency that is not positive and finite, and
-    PoleError at the first frequency where an entry comes out non-finite.
-    With positive elements that is float overflow, not a real pole: the
-    shunt resonance of this topology is an admittance zero. Callers silence
-    numpy's floating-point warnings, since overflow is reported this way.
+def _chain(elements: tuple, f: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Chain-matrix entries a (= d), b and c of symmetric-T cells, one per f,
+    and the mask of the points where an entry overflows.
+
+    elements are the per-point cell values of _elements. Half the series
+    branch z = r + j(w L_R - 1/(w C_L)), the full shunt tank
+    y = j(w C_R - 1/(w L_L)), then the other half; the cascade collapses to
+    a = d = 1 + zy/2, b = z + z^2 y/4, c = y. With positive elements a
+    non-finite entry is float overflow, not a real pole: the shunt
+    resonance of this topology is an admittance zero. Callers silence
+    numpy's floating-point warnings and judge the mask.
     """
-    invalid = ~((f > 0.0) & (f < math.inf))
-    if invalid.any():
-        raise ValueError(f"frequency must be positive and finite, got {f[invalid][0]}")
+    l_r, c_r, l_l, c_l, r_series = elements[:5]
     w = 2.0 * math.pi * f
     z = np.empty(f.shape, dtype=complex)
-    z.real = cell.r_series
-    z.imag = w * cell.l_r - 1.0 / (w * cell.c_l)
+    z.real = r_series
+    z.imag = w * l_r - 1.0 / (w * c_l)
     y = np.empty(f.shape, dtype=complex)
     y.real = 0.0
-    y.imag = w * cell.c_r - 1.0 / (w * cell.l_l)
+    y.imag = w * c_r - 1.0 / (w * l_l)
     zh = 0.5 * z
     a = 1.0 + zh * y
     b = z + zh * zh * y
-    bad = ~(np.isfinite(a) & np.isfinite(b) & np.isfinite(y))
-    if bad.any():
-        raise PoleError(float(f[bad.argmax()]), "chain-matrix entries overflow")
-    return a, b, y
+    overflow = ~(np.isfinite(a) & np.isfinite(b) & np.isfinite(y))
+    return a, b, y, overflow
 
 
-def _gamma(a: np.ndarray, b: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray]:
+def _gamma(a: np.ndarray, b: np.ndarray, p) -> tuple[np.ndarray, np.ndarray]:
     """(beta, alpha) from the chain entries a and b; see bloch_gamma."""
     # principal arccosh in the form of CPython's cmath.acosh (Kahan's
     # sqrt(a - 1), sqrt(a + 1) split), so that a lossless pass band gets
@@ -142,6 +166,44 @@ def _gamma(a: np.ndarray, b: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarr
     return beta_p / p, alpha
 
 
+class _Pass(NamedTuple):
+    """One kernel pass over stacked rows, as per-point arrays."""
+
+    f: np.ndarray
+    period: float | np.ndarray
+    chain: tuple[np.ndarray, np.ndarray, np.ndarray]  # a (= d), b, c
+    beta: np.ndarray
+    alpha: np.ndarray
+    errors: list  # per row: None, or the error its points raise
+
+
+def _kernel(cells: list[CrlhUnitCell], fs: list[np.ndarray]) -> _Pass:
+    """Bloch solution of each cells[i] at its 1-D float frequencies fs[i],
+    in one pass of the kernel.
+
+    A row's error is a ValueError naming its first frequency that is not
+    positive and finite, else a PoleError at its first frequency whose
+    chain matrix overflows; the other rows are unaffected.
+    """
+    f = fs[0] if len(fs) == 1 else np.concatenate(fs)
+    elements = _elements(cells, [len(x) for x in fs])
+    with np.errstate(all="ignore"):
+        a, b, c, overflow = _chain(elements, f)
+        beta, alpha = _gamma(a, b, elements[5])
+    invalid = ~((f > 0.0) & (f < math.inf))
+    errors = [None] * len(fs)
+    if invalid.any() or overflow.any():
+        lo = 0
+        for i, row in enumerate(fs):
+            bad, over = invalid[lo : lo + len(row)], overflow[lo : lo + len(row)]
+            if bad.any():
+                errors[i] = ValueError(f"frequency must be positive and finite, got {row[bad][0]}")
+            elif over.any():
+                errors[i] = PoleError(float(row[over.argmax()]), "chain-matrix entries overflow")
+            lo += len(row)
+    return _Pass(f, elements[5], (a, b, c), beta, alpha, errors)
+
+
 def bloch_gamma(cell: CrlhUnitCell, f):
     """Per-cell propagation constant (beta [rad/m], alpha [Np/m]) at f.
 
@@ -152,23 +214,26 @@ def bloch_gamma(cell: CrlhUnitCell, f):
     In lossless stop bands the impedance is purely reactive and beta p is
     pinned at 0 or pi; the pi-edge sign is taken opposite to the series
     reactance so swept curves continue the adjacent pass band instead of
-    jumping between +pi and -pi.
+    jumping between +pi and -pi. Raises ValueError for a frequency that is
+    not positive and finite, and PoleError at the first frequency whose
+    chain matrix overflows.
     """
     freqs = np.asarray(f, dtype=float)
-    with np.errstate(all="ignore"):
-        a, b, _ = _chain(cell, freqs.reshape(-1))
-        beta, alpha = _gamma(a, b, cell.period)
+    solved = _kernel([cell], [freqs.reshape(-1)])
+    if solved.errors[0] is not None:
+        raise solved.errors[0]
     if freqs.ndim == 0:
-        return float(beta[0]), float(alpha[0])
-    return beta, alpha
+        return float(solved.beta[0]), float(solved.alpha[0])
+    return solved.beta, solved.alpha
 
 
-def classify(beta, alpha, k0, period: float) -> np.ndarray:
+def classify(beta, alpha, k0, period) -> np.ndarray:
     """Region of each (beta, alpha) sample, as indices into REGIONS.
 
     A sample is evanescent when it attenuates with its phase pinned at a
     band edge (beta p of 0 or +-pi, exact for the lossless topology);
     otherwise fast waves (|beta| < k0) leak and slow waves are guided.
+    period is one cell period, or one per sample [m].
     """
     beta_p = np.abs(beta) * period
     pinned = (alpha > _EVANESCENT_ALPHA_NP_PER_M) & (
@@ -192,10 +257,27 @@ def dispersion_sweep(
 ) -> DispersionSweep:
     """Classified dispersion samples on a uniform frequency grid, as columns.
 
-    The kernel runs over blocks of _SWEEP_BLOCK frequencies. Raises
-    ValueError for a non-finite, empty or reversed band or for n_points
-    outside 2..MAX_N_POINTS, and PoleError at the first grid frequency
-    whose chain matrix overflows.
+    Raises ValueError for a non-finite, empty or reversed band or for
+    n_points outside 2..MAX_N_POINTS, and PoleError at the first grid
+    frequency whose chain matrix overflows.
+    """
+    (sweep,) = _sweeps([cell], f_start, f_stop, n_points)
+    if isinstance(sweep, Exception):
+        raise sweep
+    return sweep
+
+
+def _sweeps(
+    cells: list[CrlhUnitCell], f_start: float, f_stop: float, n_points: int
+) -> Iterator[DispersionSweep | CrlhError]:
+    """The dispersion sweep of each cell on one uniform grid, or the
+    PoleError that stopped it, one cell at a time; see dispersion_sweep.
+
+    The kernel runs in passes of whole rows up to _SWEEP_BLOCK points, and
+    over a grid longer than that in blocks of _SWEEP_BLOCK points a pass.
+    A row is handed over once its last pass is done, and no local keeps it
+    after that, so a caller that drops each sweep in turn holds one long
+    row at a time. The grid is checked when the first row is asked for.
     """
     for name, edge in (("f_start", f_start), ("f_stop", f_stop)):
         if not math.isfinite(edge):
@@ -205,20 +287,49 @@ def dispersion_sweep(
     if not 2 <= n_points <= MAX_N_POINTS:
         raise ValueError(f"n_points must be within 2..{MAX_N_POINTS}, got {n_points}")
     f = np.linspace(f_start, f_stop, n_points)
-    blocks = [
-        _sweep_columns(cell, f[lo : lo + _SWEEP_BLOCK]) for lo in range(0, n_points, _SWEEP_BLOCK)
-    ]
-    # one block keeps its arrays: joining would copy them into fresh memory
-    return DispersionSweep(*(blocks[0] if len(blocks) == 1 else map(np.concatenate, zip(*blocks))))
+    if n_points > _SWEEP_BLOCK:
+        for cell in cells:
+            blocks = range(0, n_points, _SWEEP_BLOCK)
+            yield _joined([_pass_columns([cell], [f[lo : lo + _SWEEP_BLOCK]])[0] for lo in blocks])
+        return
+    per = _SWEEP_BLOCK // n_points
+    for k in range(0, len(cells), per):
+        stack = cells[k : k + per]
+        yield from [_joined([block]) for block in _pass_columns(stack, [f] * len(stack))]
 
 
-def _sweep_columns(cell: CrlhUnitCell, f: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The DispersionSweep columns of cell over the frequencies f, in field order."""
-    beta, alpha = bloch_gamma(cell, f)
-    k0 = _k0(f)
-    region = classify(beta, alpha, k0, cell.period)
-    leaky = (region == _LH) | (region == _RH)
-    return f, beta, alpha, k0, region, leaky, np.where(leaky, _scan_deg(beta, k0), np.nan)
+def _pass_columns(cells: list[CrlhUnitCell], fs: list[np.ndarray]) -> list:
+    """Each row of one kernel pass as its block of DispersionSweep columns,
+    in field order, or as its error. The columns of a row that overflowed
+    are dropped, so their warnings are silenced too.
+    """
+    # the chain entries go before the columns are allocated, which can then
+    # take their memory: at the 1,000,000-point cap that keeps `reproduce`
+    # at 238 MB RSS instead of 248 MB
+    solved = _kernel(cells, fs)._replace(chain=None)
+    with np.errstate(all="ignore"):
+        k0 = _k0(solved.f)
+        region = classify(solved.beta, solved.alpha, k0, solved.period)
+        leaky = (region == _LH) | (region == _RH)
+        scan_deg = np.where(leaky, _scan_deg(solved.beta, k0), np.nan)
+    columns = solved.f, solved.beta, solved.alpha, k0, region, leaky, scan_deg
+    out, start = [], 0
+    for row, error in zip(fs, solved.errors):
+        out.append(error or tuple(column[start : start + len(row)] for column in columns))
+        start += len(row)
+    return out
+
+
+def _joined(blocks: list) -> DispersionSweep | CrlhError:
+    """One row's sweep from the column blocks of its passes, or the first
+    error among them."""
+    error = next((block for block in blocks if isinstance(block, Exception)), None)
+    if error is not None:
+        return error
+    if len(blocks) == 1:
+        # one block keeps its arrays: joining would copy them into fresh memory
+        return DispersionSweep(*blocks[0])
+    return DispersionSweep(*map(np.concatenate, zip(*blocks)))
 
 
 def transition_frequency(
@@ -238,6 +349,14 @@ def transition_frequency(
     at their midpoint): beta is pinned at 0 across that gap, so there is
     no single transition frequency.
     """
+    f_se, f_sh = _resonances_in(cell, bracket)
+    # loss lifts alpha everywhere, so the gap is judged on the lossless cell
+    _check_gapless(f_se, f_sh, bloch_gamma(replace(cell, r_series=0.0), 0.5 * (f_se + f_sh))[1])
+    return f_sh
+
+
+def _resonances_in(cell: CrlhUnitCell, bracket: tuple[float, float]) -> tuple[float, float]:
+    """(f_se, f_sh) of cell [Hz]; the bracket errors of transition_frequency."""
     f_lo, f_hi = bracket
     if not 0.0 < f_lo < f_hi:
         raise ValueError(f"need 0 < f_lo < f_hi, got ({f_lo}, {f_hi})")
@@ -248,15 +367,88 @@ def transition_frequency(
         raise BracketError(
             f"the transition f_sh = {f_sh:.9g} Hz lies outside [{f_lo:.9g}, {f_hi:.9g}] Hz"
         )
-    # loss lifts alpha everywhere, so the gap is judged on the lossless cell
-    alpha = bloch_gamma(replace(cell, r_series=0.0), 0.5 * (f_se + f_sh))[1]
+    return f_se, f_sh
+
+
+def _check_gapless(f_se: float, f_sh: float, alpha: float) -> None:
+    """The stop-band BracketError of transition_frequency, given the
+    lossless alpha midway between f_se and f_sh."""
     if alpha > _EVANESCENT_ALPHA_NP_PER_M:
         raise BracketError(
             f"stop band between f_se = {f_se:.9g} Hz and f_sh = {f_sh:.9g} Hz "
             f"(alpha = {alpha:.6g} Np/m midway), so the cell has no single "
             f"transition frequency"
         )
-    return f_sh
+
+
+@dataclass(frozen=True)
+class StateSolution:
+    """One switch state of a design, solved once on the config's grid.
+
+    Each slot holds its value or the error that stopped it, and a slot
+    that needs a failed one holds that one's error: a cell that cannot be
+    calibrated fills every slot.
+    """
+
+    fingers: int
+    cell: CrlhUnitCell | Exception
+    sweep: DispersionSweep | Exception
+    f0: float | Exception                    # transition_frequency [Hz]
+    gamma0: tuple[float, float] | Exception  # bloch_gamma at f0: (beta, alpha)
+
+
+def solve(config: RunConfig) -> list[StateSolution]:
+    """Every target state of config, in state order.
+
+    The cells are calibrated one by one. Their sweeps go through the
+    kernel stacked (one pass on grids up to a third of _SWEEP_BLOCK), and
+    one more pass takes the lossless gap midpoints of transition_frequency
+    together with each cell at its f_sh. Raises the ConfigError of a
+    config without a target state; every _FAILURES error of a state is
+    kept in the slots it stops.
+    """
+    states = config.target_states()
+    cells = []
+    for n in states:
+        try:
+            cells.append(config.cell(n))
+        except _FAILURES as exc:
+            cells.append(exc)
+    built = [i for i, cell in enumerate(cells) if not isinstance(cell, Exception)]
+    sweeps, crossings = list(cells), list(cells)
+    grid = (config.f_start, config.f_stop, config.n_points)
+    for i, sweep in zip(built, _sweeps([cells[i] for i in built], *grid)):
+        sweeps[i] = sweep
+    for i in built:
+        try:
+            crossings[i] = _resonances_in(cells[i], (config.f_start, config.f_stop))
+        except _FAILURES as exc:
+            crossings[i] = exc
+    # two one-point rows per state whose f_sh is in band: its lossless cell
+    # midway between f_se and f_sh, then the cell itself at f_sh
+    in_band = [i for i in built if isinstance(crossings[i], tuple)]
+    rows = []
+    for i in in_band:
+        f_se, f_sh = crossings[i]
+        rows += [(replace(cells[i], r_series=0.0), 0.5 * (f_se + f_sh)), (cells[i], f_sh)]
+    if rows:
+        solved = _kernel([cell for cell, _ in rows], [np.array([f]) for _, f in rows])
+    f0s, gamma0s = list(crossings), list(crossings)
+    for k, i in enumerate(in_band):
+        mid, at_f0 = 2 * k, 2 * k + 1
+        try:
+            if solved.errors[mid] is not None:
+                raise solved.errors[mid]
+            _check_gapless(*crossings[i], float(solved.alpha[mid]))
+        except _FAILURES as exc:
+            f0s[i] = gamma0s[i] = exc
+            continue
+        f0s[i] = crossings[i][1]
+        gamma0s[i] = solved.errors[at_f0] or (
+            float(solved.beta[at_f0]),
+            float(solved.alpha[at_f0]),
+        )
+    return [StateSolution(*slots) for slots in zip(states, cells, sweeps, f0s, gamma0s)]
 
 
 def scan_profile(

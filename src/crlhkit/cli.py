@@ -26,7 +26,6 @@ from . import DEFAULT_LEAKAGE_NP_PER_CELL, PROFILE_ENV_VAR, __version__
 from .errors import BracketError, CrlhError
 
 if TYPE_CHECKING:
-    from .bloch import DispersionSweep
     from .config import RunConfig
 
 _GHZ = 1e9
@@ -130,12 +129,6 @@ def _kv_csv(pairs: dict) -> str:
     return _csv_text(["key", "value"], rows)
 
 
-def _sweep(cell, config: RunConfig) -> DispersionSweep:
-    from .bloch import dispersion_sweep
-
-    return dispersion_sweep(cell, config.f_start, config.f_stop, config.n_points)
-
-
 # ---------------------------------------------------------------- commands
 
 
@@ -199,10 +192,11 @@ def cmd_cell_calibrate(config: RunConfig, args) -> int:
 
 
 def cmd_dispersion(config: RunConfig, args) -> int:
+    from .bloch import dispersion_sweep
     from .table import _dispersion_csvs, _dispersion_json
 
     cell = config.cell()
-    sweep = _sweep(cell, config)
+    sweep = dispersion_sweep(cell, config.f_start, config.f_stop, config.n_points)
     if args.format == "json":
         _write_chunks(
             _dispersion_json(sweep, cell.period), args.out, f"dispersion_{config.fingers}f.json"
@@ -217,7 +211,10 @@ def cmd_dispersion(config: RunConfig, args) -> int:
 
 
 def cmd_scan_angles(config: RunConfig, args) -> int:
-    profile = _sweep(config.cell(), config).scan_profile()
+    from .bloch import dispersion_sweep
+
+    sweep = dispersion_sweep(config.cell(), config.f_start, config.f_stop, config.n_points)
+    profile = sweep.scan_profile()
     if args.format == "json":
         doc = [{"f_Hz": f, "scan_angle_deg": theta} for f, theta in profile]
         _write_text(_dumps(doc), args.out, f"scan_angles_{config.fingers}f.json")
@@ -305,23 +302,28 @@ def cmd_pattern(config: RunConfig, args) -> int:
 def cmd_sweep(config: RunConfig, args) -> int:
     import numpy as np
 
-    from .bloch import transition_frequency
-    from .radiation import _gamma_for, array_factor
+    from .bloch import solve
+    from .radiation import _with_leakage, array_factor
     from .table import _dispersion_csvs
 
     out_dir = args.out if args.out is not None else "."
     # every state is solved before the first file is written, so a state
-    # that fails leaves no output behind
+    # that fails leaves no output behind; the error reported is the first
+    # in state order, and within a state that of its cell, its transition,
+    # its sweep, then its Bloch solution at the transition
     solved = {}
-    for n in config.target_states():
-        cell = config.cell(n)
-        try:
-            f0 = transition_frequency(cell, bracket=(config.f_start, config.f_stop))
-        except BracketError as exc:
-            print(f"error: {n}-finger state: {exc}", file=sys.stderr)
+    for state in solve(config):
+        if isinstance(state.cell, Exception):
+            raise state.cell
+        if isinstance(state.f0, BracketError):
+            print(f"error: {state.fingers}-finger state: {state.f0}", file=sys.stderr)
             return 1
-        sweep = _sweep(cell, config)
-        solved[n] = cell, f0, sweep, _gamma_for(cell, f0, args.leakage)
+        for slot in (state.f0, state.sweep, state.gamma0):
+            if isinstance(slot, Exception):
+                raise slot
+        beta, alpha = state.gamma0
+        gamma = _with_leakage(beta, alpha, state.cell.period, args.leakage)
+        solved[state.fingers] = state.cell, state.f0, state.sweep, gamma
     # the broadside beams of every state in one call, on the period and
     # cell count the states share
     _, f0s, _, gammas = zip(*solved.values())

@@ -210,14 +210,13 @@ def array_factor(
     )
 
 
-def _gamma_for(cell: CrlhUnitCell, f, leakage_np_per_cell: float | None):
-    """gamma = alpha + j beta of cell at f, the alpha replaced by the
-    per-cell leakage when one is given."""
-    beta, alpha = bloch_gamma(cell, f)
+def _with_leakage(beta, alpha, period: float, leakage_np_per_cell: float | None):
+    """gamma = alpha + j beta, the alpha replaced by the per-cell leakage
+    when one is given."""
     if leakage_np_per_cell is not None:
         if not 0.0 <= leakage_np_per_cell < math.inf:
             raise ValueError(f"leakage must be >= 0 and finite, got {leakage_np_per_cell}")
-        alpha = leakage_np_per_cell / cell.period
+        alpha = leakage_np_per_cell / period
     gamma = np.empty(np.shape(beta), dtype=complex)
     gamma.real = alpha
     gamma.imag = beta
@@ -237,7 +236,8 @@ def pattern_for_frequency(
     the finite leakage of a real radiating aperture. Left as None the
     Bloch alpha is used unchanged.
     """
-    gamma = _gamma_for(cell, f, leakage_np_per_cell)
+    beta, alpha = bloch_gamma(cell, f)
+    gamma = _with_leakage(beta, alpha, cell.period, leakage_np_per_cell)
     return array_factor(gamma, cell.period, n_cells, f)
 
 

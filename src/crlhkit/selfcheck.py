@@ -18,18 +18,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import idc
-from .bloch import (
-    REGIONS,
-    DispersionSweep,
-    Region,
-    _chain,
-    bloch_gamma,
-    dispersion_sweep,
-    transition_frequency,
-)
+from .bloch import _FAILURES, REGIONS, DispersionSweep, Region, _kernel, _sweeps, solve
 from .cell import CrlhUnitCell
 from .config import RunConfig
-from .errors import CrlhError
 
 # Reference-geometry series capacitance and its tolerance.
 C_ANCHOR_PF = 0.0867
@@ -47,14 +38,11 @@ TRACE_SEED = 0x5EED
 N_TRACE_FREQS = 20
 
 _EVANESCENT = REGIONS.index(Region.EVANESCENT)
-# What a design the parser accepts can raise on its way through the model:
-# its errors, a value out of a function's domain, and an overflow. Each
-# fails the check it reaches, and the other checks still run.
-_FAILURES = (CrlhError, ValueError, ArithmeticError)
 
 Cells = dict[int, CrlhUnitCell]
 Sweeps = dict[int, DispersionSweep]
 Transitions = dict[int, float]  # finger count -> beta zero crossing [Hz]
+Gammas = dict[int, tuple[float, float] | Exception]  # (beta, alpha) at the crossing
 
 
 @dataclass(frozen=True)
@@ -67,8 +55,16 @@ class CheckResult:
         return f"{'PASS' if self.passed else 'FAIL'}  {self.name}: {self.detail}"
 
 
-def _sweep(config: RunConfig, cell: CrlhUnitCell) -> DispersionSweep:
-    return dispersion_sweep(cell, config.f_start, config.f_stop, config.n_points)
+def _value(slot):
+    """A solved slot's value; the error it holds is raised instead."""
+    if isinstance(slot, Exception):
+        raise slot
+    return slot
+
+
+def _first_error(slots: list) -> Exception | None:
+    """The first slot that holds an error, if any."""
+    return next((slot for slot in slots if isinstance(slot, Exception)), None)
 
 
 def _gap_samples(sweep: DispersionSweep) -> int:
@@ -125,16 +121,29 @@ def check_broadside_tuning(config: RunConfig, f0s: Transitions) -> tuple[bool, s
 
 
 def check_closed_stopband(
-    config: RunConfig, cells: Cells, sweeps: Sweeps, f0s: Transitions
+    config: RunConfig, cells: Cells, sweeps: Sweeps, gamma0s: Gammas
 ) -> tuple[bool, str]:
-    """Balanced cells have no gap at the crossing; detuning opens one."""
+    """Balanced cells have no gap at the crossing; detuning opens one.
+
+    The detuned controls, each shunt branch scaled 20 percent, are swept
+    in passes of their own, so an error of one fails this check alone.
+    """
+    detuned = {}
+    for n, cell in cells.items():
+        try:
+            detuned[n] = replace(cell, c_r=1.2 * cell.c_r)
+        except _FAILURES as exc:
+            detuned[n] = exc
+    built = [cell for cell in detuned.values() if not isinstance(cell, Exception)]
+    controls = _sweeps(built, config.f_start, config.f_stop, config.n_points)
     parts = []
     ok = True
-    for n, cell in cells.items():
+    for n in cells:
         gap = _gap_samples(sweeps[n])
-        _, alpha0 = bloch_gamma(cell, f0s[n])
-        # same sweep with the shunt branch detuned 20 percent
-        opened = max(_gap_samples(_sweep(config, replace(cell, c_r=1.2 * cell.c_r))), 0)
+        alpha0 = _value(gamma0s[n])[1]
+        _value(detuned[n])  # a control that could not be built
+        # no name holds a control, so each is dropped once counted
+        opened = max(_gap_samples(_value(next(controls))), 0)
         state_ok = gap == 0 and alpha0 <= BROADSIDE_ALPHA_MAX and opened > 0
         ok = ok and state_ok
         parts.append(
@@ -204,18 +213,25 @@ def check_scan_coverage(config: RunConfig, sweeps: Sweeps) -> tuple[bool, str]:
 
 
 def check_trace_identity(config: RunConfig, cells: Cells) -> tuple[bool, str]:
-    """trace(M^8) equals 2 cosh(8 gamma p) at random frequencies."""
+    """trace(M^8) equals 2 cosh(8 gamma p) at random frequencies.
+
+    Each state draws its frequencies from the seeded generator in turn,
+    and one kernel pass and one matrix power take them all.
+    """
     rng = np.random.default_rng(TRACE_SEED)
+    freqs = [rng.uniform(config.f_start, config.f_stop, N_TRACE_FREQS) for _ in cells]
+    solved = _kernel(list(cells.values()), freqs)
+    a, b, c = solved.chain
+    with np.errstate(all="ignore"):
+        m8 = np.linalg.matrix_power(np.stack([a, b, c, a], axis=-1).reshape(-1, 2, 2), 8)
+    traces = (m8[:, 0, 0] + m8[:, 1, 1]).tolist()
+    betas, alphas = solved.beta.tolist(), solved.alpha.tolist()
     worst = 0.0
-    for n, cell in cells.items():
-        freqs = rng.uniform(config.f_start, config.f_stop, N_TRACE_FREQS)
-        betas, alphas = bloch_gamma(cell, freqs)
-        with np.errstate(all="ignore"):
-            a, b, c = _chain(cell, freqs)
-            m = np.stack([a, b, c, a], axis=-1).reshape(-1, 2, 2)
-            m8 = np.linalg.matrix_power(m, 8)
-        traces = (m8[:, 0, 0] + m8[:, 1, 1]).tolist()
-        for f, trace, beta, alpha in zip(freqs.tolist(), traces, betas.tolist(), alphas.tolist()):
+    for i, ((n, cell), f_row, error) in enumerate(zip(cells.items(), freqs, solved.errors)):
+        if error is not None:
+            raise error
+        row = slice(i * N_TRACE_FREQS, (i + 1) * N_TRACE_FREQS)
+        for f, trace, beta, alpha in zip(f_row.tolist(), traces[row], betas[row], alphas[row]):
             gp = complex(alpha, beta) * cell.period
             try:
                 expected = 2.0 * cmath.cosh(8.0 * gp)
@@ -265,26 +281,31 @@ def _run(name: str, check, *args) -> CheckResult:
 def run_all(config: RunConfig) -> list[CheckResult]:
     """Every check, in report order; one that cannot run is reported failed.
 
-    Each state is swept once and its beta zero solved once; the checks
-    share those solutions. A config without any target state fails the six
-    per-state checks with that error.
+    The checks share one solve() of the design. The first cell that
+    fails, else the first sweep, fails the six per-state checks with its
+    error, as does a config without any target state; the first
+    transition that fails fails the two checks that read the transitions.
     """
     try:
-        cells = {n: config.cell(n) for n in config.target_states()}
-        sweeps = {n: _sweep(config, cell) for n, cell in cells.items()}
+        states = solve(config)
     except _FAILURES as exc:
-        cells = sweeps = f0s = exc
+        states, error = [], exc
     else:
-        try:
-            bracket = (config.f_start, config.f_stop)
-            f0s = {n: transition_frequency(cell, bracket=bracket) for n, cell in cells.items()}
-        except _FAILURES as exc:
-            f0s = exc
+        error = _first_error([s.cell for s in states] + [s.sweep for s in states])
+    if error is not None:
+        cells = sweeps = f0s = gamma0s = error
+    else:
+        cells = {s.fingers: s.cell for s in states}
+        sweeps = {s.fingers: s.sweep for s in states}
+        f0s = gamma0s = _first_error([s.f0 for s in states])
+        if f0s is None:
+            f0s = {s.fingers: s.f0 for s in states}
+            gamma0s = {s.fingers: s.gamma0 for s in states}
     return [
         _run("series-capacitance anchor", check_capacitance_anchor, config),
         _run("elliptic-ratio fidelity", check_elliptic_ratio),
         _run("broadside tuning", check_broadside_tuning, config, f0s),
-        _run("gapless balanced bands", check_closed_stopband, config, cells, sweeps, f0s),
+        _run("gapless balanced bands", check_closed_stopband, config, cells, sweeps, gamma0s),
         _run("beam consistency", check_beam_consistency, config, cells, sweeps),
         _run("full-space scanning", check_scan_coverage, config, sweeps),
         _run("cascade trace identity", check_trace_identity, config, cells),

@@ -1,6 +1,7 @@
 import cmath
 import math
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -17,11 +18,13 @@ from crlhkit.bloch import (
     REGIONS,
     Region,
     _chain,
+    _elements,
     _scan_deg,
     bloch_gamma,
     classify,
     dispersion_sweep,
     scan_profile,
+    solve,
     transition_frequency,
 )
 from crlhkit.cell import calibrate_balanced, resonances
@@ -66,15 +69,17 @@ class TestAbcd:
         # must agree that they are equal
         f = np.array([8.0e9, 9.3e9, 11.5e9])
         for cell in cells.values():
-            a, b, c = _chain(cell, f)
+            a, b, c, overflow = _chain(_elements([cell], [len(f)]), f)
+            assert not overflow.any()
             for i, fi in enumerate(f.tolist()):
                 m = branch_cascade(cell, fi)
                 assert m[0, 0] == pytest.approx(m[1, 1], rel=1e-12, abs=1e-12)
                 assert [a[i], b[i], c[i]] == pytest.approx([m[0, 0], m[0, 1], m[1, 0]], rel=1e-12)
 
     def test_reciprocity(self, cells):
+        f = np.linspace(7.6e9, 11.9e9, 7)
         for cell in cells.values():
-            a, b, c = _chain(cell, np.linspace(7.6e9, 11.9e9, 7))
+            a, b, c, _ = _chain(_elements([cell], [len(f)]), f)
             assert (np.abs(a * a - b * c - 1.0) < 1e-10).all()
 
     def test_rejects_nonpositive_frequency(self, cells):
@@ -381,6 +386,157 @@ class TestTransition:
         assert beta_of(f_lo) < 0.0 < beta_of(f_hi)
         root = brentq(beta_of, f_lo, f_hi, xtol=1.0)
         assert abs(transition_frequency(cell, bracket=(f_lo, f_hi)) - root) <= 1e3
+
+
+def stacked_cells(cells, states):
+    return [perturbed(cells[n], scales, r_series) for n, scales, r_series in states]
+
+
+def one_row_sweeps(cells, f_start, f_stop, n_points):
+    """dispersion_sweep of each cell, or the PoleError it raises."""
+    out = []
+    for cell in cells:
+        try:
+            out.append(dispersion_sweep(cell, f_start, f_stop, n_points))
+        except PoleError as exc:
+            out.append(exc)
+    return out
+
+
+STACKED_STATES = st.lists(
+    st.tuples(st.sampled_from([2, 3, 4]), CELL_SCALES, R_SERIES), min_size=1, max_size=6
+)
+# grid lengths off the 8-lane SIMD width, and pass budgets that split the
+# rows across passes, put several rows in one pass, or keep the default
+SPLIT_GRID = st.integers(min_value=2, max_value=400).filter(lambda n: n % 8)
+PASS_BUDGETS = st.sampled_from([5, 64, 450, bloch._SWEEP_BLOCK])
+
+
+class TestStackedKernel:
+    """Cells stacked into one kernel pass get the bits of their one-row calls."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(states=STACKED_STATES, n_points=SPLIT_GRID, budget=PASS_BUDGETS)
+    def test_stacked_sweeps_equal_the_one_row_calls(self, cells, states, n_points, budget):
+        stack = stacked_cells(cells, states)
+        grid = (6.0e9, 13.0e9, n_points)
+        singles = one_row_sweeps(stack, *grid)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bloch, "_SWEEP_BLOCK", budget)
+            stacked = bloch._sweeps(stack, *grid)
+        for cell, one, many in zip(stack, singles, stacked):
+            for name, column in vars(one).items():
+                assert getattr(many, name).tobytes() == column.tobytes(), name
+            beta, alpha = bloch_gamma(cell, one.f)
+            assert many.beta.tobytes() == beta.tobytes()
+            assert many.alpha.tobytes() == alpha.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        states=STACKED_STATES,
+        n_points=SPLIT_GRID,
+        budget=PASS_BUDGETS,
+        # the paper-default cells' chain matrices overflow from about
+        # 1.3e111 Hz (2 fingers) to 2.9e111 Hz (4 fingers), so some rows of
+        # a stack fail and others do not
+        f_stop=st.floats(min_value=1e111, max_value=5e111),
+    )
+    def test_a_row_that_overflows_names_its_own_frequency(
+        self, cells, states, n_points, budget, f_stop
+    ):
+        stack = stacked_cells(cells, states)
+        grid = (1e9, f_stop, n_points)
+        singles = one_row_sweeps(stack, *grid)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bloch, "_SWEEP_BLOCK", budget)
+            stacked = bloch._sweeps(stack, *grid)
+        for cell, one, many in zip(stack, singles, stacked):
+            # the scalar oracle's first grid point whose chain entries overflow
+            first = next(
+                (
+                    f
+                    for f in np.linspace(*grid).tolist()
+                    if not all(map(cmath.isfinite, bloch_oracle.chain_entries(cell, f)))
+                ),
+                None,
+            )
+            if first is None:
+                assert many.beta.tobytes() == one.beta.tobytes()
+            else:
+                assert isinstance(one, PoleError) and isinstance(many, PoleError)
+                assert many.frequency == one.frequency == first
+                assert str(many) == str(one)
+
+    def test_one_pass_equals_the_one_row_calls_at_mixed_frequencies(self, cells):
+        # rows of different lengths, one with a frequency that is not valid
+        fs = [np.array([9.3e9]), np.linspace(7.5e9, 12e9, 13), np.array([8e9, -1.0, math.inf])]
+        solved = bloch._kernel([cells[2], cells[3], cells[4]], fs)
+        assert solved.errors[:2] == [None, None]
+        assert str(solved.errors[2]) == "frequency must be positive and finite, got -1.0"
+        beta, alpha = bloch_gamma(cells[3], fs[1])
+        assert solved.beta[1:14].tobytes() == beta.tobytes()
+        assert solved.alpha[1:14].tobytes() == alpha.tobytes()
+        assert (solved.beta[0], solved.alpha[0]) == bloch_gamma(cells[2], 9.3e9)
+
+    def test_a_dense_solve_holds_one_state_in_flight(self, config):
+        # the three 15,001-point states each take a pass of their own, so
+        # the solve peaks at one state's kernel transient above the results
+        dense = replace(config, n_points=15001)
+        cell = dense.cell(4)
+        dispersion_sweep(cell, dense.f_start, dense.f_stop, dense.n_points)
+        tracemalloc.start()
+        try:
+            one = dispersion_sweep(cell, dense.f_start, dense.f_stop, dense.n_points)
+            transient = tracemalloc.get_traced_memory()[1]
+            transient -= sum(column.nbytes for column in vars(one).values())
+            del one
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            states = solve(dense)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        results = sum(column.nbytes for s in states for column in vars(s.sweep).values())
+        assert peak <= transient + results + 64 * 1024, (peak, transient, results)
+
+    def test_sweeps_dropped_in_turn_hold_one_row_at_a_time(self, config, cells):
+        # as the detuned controls of `reproduce` are: each row's gap is
+        # counted and the row dropped before the next is swept
+        grid = (config.f_start, config.f_stop, 15001)
+        dispersion_sweep(cells[4], *grid)
+        tracemalloc.start()
+        try:
+            dispersion_sweep(cells[4], *grid)
+            one = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            rows = bloch._sweeps([cells[2], cells[3], cells[4]], *grid)
+            leaky = [int(next(rows).leaky.sum()) for _ in range(3)]
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert min(leaky) > 0
+        assert peak <= one + 64 * 1024, (peak, one)
+
+
+class TestSolve:
+    @pytest.mark.parametrize("f_start", [7.5e9, 9.4e9], ids=["paper-default", "9.4-ghz-start"])
+    def test_each_slot_equals_its_one_state_call(self, config, f_start):
+        config = replace(config, f_start=f_start)
+        for state in solve(config):
+            cell = config.cell(state.fingers)
+            assert state.cell == cell
+            sweep = dispersion_sweep(cell, config.f_start, config.f_stop, config.n_points)
+            for name, column in vars(sweep).items():
+                assert getattr(state.sweep, name).tobytes() == column.tobytes(), name
+            try:
+                f0 = transition_frequency(cell, (config.f_start, config.f_stop))
+            except BracketError as exc:
+                assert type(state.f0) is BracketError and str(state.f0) == str(exc)
+                assert state.gamma0 is state.f0
+            else:
+                assert state.f0 == f0
+                assert state.gamma0 == bloch_gamma(cell, f0)
 
 
 class TestScanAngle:

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import crlhkit
-from crlhkit import radiation, selfcheck
+from crlhkit import bloch, radiation, selfcheck
 from crlhkit.bloch import MAX_N_POINTS, REGIONS, dispersion_sweep
 from crlhkit.cell import CrlhUnitCell, resonances
 from crlhkit.cli import _jsonify, fmt, main
@@ -747,6 +747,56 @@ class TestCliCommands:
         assert line.startswith("error: (n_cells - 1) k0 p must be finite, got inf from k0 p ")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "text, flags, error",
+        [
+            # the 2-finger transition fails before the 3-finger cell, which
+            # `reproduce` reports first: it takes every cell before the rest
+            (
+                "target_3_ghz = 1e-300\ntarget_2_ghz = 12.5\n",
+                [],
+                "2-finger state: the transition f_sh = 1.25e+10 Hz lies outside "
+                "[7.5e+09, 1.2e+10] Hz",
+            ),
+            # within a state, its transition before its sweep
+            (
+                "freq_stop_ghz = 1e298\nn_points = 7\ntarget_2_ghz = 1e-09\n",
+                [],
+                "2-finger state: the transition f_sh = 1 Hz lies outside [7.5e+09, 1e+307] Hz",
+            ),
+            # the 2-finger sweep before the 3-finger cell
+            (
+                "freq_stop_ghz = 1e298\nn_points = 7\ntarget_3_ghz = 1e-300\n",
+                [],
+                "chain-matrix entries overflow (f = 1.66666667e+306 Hz)",
+            ),
+            (
+                "target_2_ghz = 1e-09\ntarget_3_ghz = 12.5\n",
+                [],
+                "2-finger state: the transition f_sh = 1 Hz lies outside [7.5e+09, 1.2e+10] Hz",
+            ),
+            # the leakage is refused at the first state that gets that far
+            ("target_3_ghz = 12.5\n", ["--leakage", "-1"], "leakage must be >= 0 and finite, got -1.0"),
+            (
+                "target_2_ghz = 12.5\n",
+                ["--leakage", "-1"],
+                "2-finger state: the transition f_sh = 1.25e+10 Hz lies outside "
+                "[7.5e+09, 1.2e+10] Hz",
+            ),
+        ],
+        ids=["cell-after-transition", "transition-before-sweep", "sweep-before-cell",
+             "two-transitions", "leakage-after-state", "transition-before-leakage"],
+    )
+    def test_sweep_reports_the_first_error_in_state_order(
+        self, tmp_path, capsys, text, flags, error
+    ):
+        path = write_cfg(tmp_path, text)
+        assert main(["sweep", "--config", path, *flags, "--out", str(tmp_path / "out")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {error}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_reproduce_without_a_target_state_fails_each_state_check(self, tmp_path, capsys):
         path = write_cfg(tmp_path, NO_TARGETS)
         assert main(["reproduce", "--json", "--config", path]) == 1
@@ -773,18 +823,24 @@ class TestCliCommands:
         assert "2f: gap samples 0" in gapless.detail
         assert "detuned gap 0" not in gapless.detail
 
-    def test_reproduce_solves_each_state_once(self, monkeypatch, capsys):
-        calls = []
+    def test_reproduce_solves_each_state_once(self, tmp_path, monkeypatch, capsys):
+        # the states are stacked into kernel passes: the sweeps, then the
+        # gap midpoints with each f_sh, then, in `reproduce` alone, the
+        # detuned controls and the trace identity's 20 frequencies a state
+        points = []
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return transition(*args, **kwargs)
+        def counted(elements, f):
+            points.append(len(f))
+            return chain(elements, f)
 
-        transition = selfcheck.transition_frequency
-        monkeypatch.setattr(selfcheck, "transition_frequency", counted)
+        chain = bloch._chain
+        monkeypatch.setattr(bloch, "_chain", counted)
         assert main(["reproduce"]) == 0
         assert "8/8 checks passed" in capsys.readouterr().out
-        assert len(calls) == 3
+        assert points == [3 * 451, 3 * 2, 3 * 451, 3 * 20]
+        points.clear()
+        assert main(["sweep", "--out", str(tmp_path)]) == 0
+        assert points == [3 * 451, 3 * 2]
         # the beam check reads the sweeps alone: no pattern is built
         proc = run_python(
             "-c",

@@ -11,7 +11,7 @@ from crlhkit.bloch import bloch_gamma, dispersion_sweep
 from crlhkit.geometry import C0
 from crlhkit.radiation import (
     _default_grid,
-    _gamma_for,
+    _with_leakage,
     array_factor,
     pattern_for_frequency,
 )
@@ -311,7 +311,9 @@ class TestBeams:
             (perturbed(cells[n], scales, r_series), np.sort(rng.uniform(6e9, 13e9, count)))
             for n, scales, r_series, count in states
         ]
-        gamma = np.concatenate([_gamma_for(cell, f, leakage) for cell, f in joined])
+        gamma = np.concatenate(
+            [_with_leakage(*bloch_gamma(cell, f), cell.period, leakage) for cell, f in joined]
+        )
         f = np.concatenate([f for _, f in joined])
         pats = array_factor(gamma, cells[2].period, n_cells, f)
         each = [pattern_for_frequency(cell, f, n_cells, leakage) for cell, f in joined]
