@@ -40,9 +40,9 @@ DEFAULT_N_POINTS = 451
 # rows, one cell's grid each, up to this budget; a longer row takes passes
 # of its own in blocks of this size. The complex temporaries grow with the
 # pass, not the grid, so a sweep peaks at about twice its result columns.
-# The six 451-point sweeps of `reproduce` fit one pass each time they are
-# asked for together, and each 15001-point state of a dense sweep is a
-# pass of its own.
+# The three 451-point sweeps of `reproduce` fit one pass, as do its three
+# detuned controls, and each 15001-point state of a dense sweep is a pass
+# of its own.
 _SWEEP_BLOCK = 16384
 
 # What a design the parser accepts can raise on its way through the model:
@@ -288,8 +288,8 @@ def _sweeps(
         raise ValueError(f"n_points must be within 2..{MAX_N_POINTS}, got {n_points}")
     f = np.linspace(f_start, f_stop, n_points)
     if n_points > _SWEEP_BLOCK:
+        blocks = range(0, n_points, _SWEEP_BLOCK)
         for cell in cells:
-            blocks = range(0, n_points, _SWEEP_BLOCK)
             yield _joined([_pass_columns([cell], [f[lo : lo + _SWEEP_BLOCK]])[0] for lo in blocks])
         return
     per = _SWEEP_BLOCK // n_points
