@@ -12,6 +12,7 @@ files adjusting a key or two are fine.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass, replace
@@ -191,8 +192,10 @@ def available_profiles() -> list[str]:
     return sorted(p.name[: -len(".cfg")] for p in root.iterdir() if p.name.endswith(".cfg"))
 
 
-def load_profile_values(name: str) -> dict:
-    """Raw key mapping of a bundled profile."""
+@functools.cache
+def _profile_values(name: str) -> dict:
+    """Key mapping of a bundled profile, parsed once and shared: copy it to
+    update it. A missing profile raises on every call."""
     res = _profile_resource(name)
     try:
         text = res.read_text(encoding="utf-8")
@@ -250,7 +253,7 @@ def resolve_config(path: str | None = None, env: dict | None = None) -> RunConfi
     """
     env = os.environ if env is None else env
     profile = env.get(PROFILE_ENV_VAR, DEFAULT_PROFILE)
-    values = load_profile_values(profile)
+    values = dict(_profile_values(profile))
     if path is not None:
         try:
             with open(path, "rb") as fh:

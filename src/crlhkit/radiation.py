@@ -3,7 +3,8 @@
 Each period radiates as an isotropic element excited by the traveling
 Bloch wave, so cell n carries exp(-n gamma p). The far-field sum over the
 cells gives the frequency-scanned pattern; beam direction and scan trend
-are array-factor dominated, so no element pattern is applied.
+are array-factor dominated, so no element pattern is applied. The sum is
+geometric and taken in closed form, at a cost that does not grow with N.
 """
 
 from __future__ import annotations
@@ -20,10 +21,6 @@ from .geometry import C0, MAX_N_CELLS
 
 # Relative magnitude floor so exact pattern nulls stay finite in dB.
 _NULL_FLOOR = 1e-15
-# Frequencies per block of the steering tensor. One block buffer of
-# _BLOCK x len(theta) x n_cells complex values is reused for every block,
-# so transient memory does not grow with the number of frequencies.
-_BLOCK = 4
 
 
 @dataclass(frozen=True)
@@ -76,7 +73,7 @@ def _inputs(gamma, p, n_cells, f):
     with np.errstate(over="ignore", invalid="ignore"):
         k0 = 2.0 * math.pi * freqs.reshape(-1) / C0
         phase_step = k0 * p
-        # the largest steering phase; for one cell, 0 * inf is NaN
+        # the phase across the line at endfire; for one cell, 0 * inf is NaN
         last = (n_cells - 1) * phase_step
     if not np.isfinite(last).all():
         i = np.flatnonzero(~np.isfinite(last))[0]
@@ -89,58 +86,55 @@ def _inputs(gamma, p, n_cells, f):
     return freqs, gammas.reshape(-1), phase_step
 
 
-def _excitation(gammas, p, n_cells):
-    """The frequency x cell array exp(-n gamma p), whose row sums of
-    |exp(-n gamma p)| must be finite."""
+def _decay(gammas, p, n_cells):
+    """|alpha| p of each frequency, once the sum of |exp(-n gamma p)| is
+    found finite: exp((N-1) max(-alpha, 0) p) times the sum of
+    exp(-n |alpha| p), or NaN where (N-1) beta p overflows. A growing wave is
+    the decaying one of the same |alpha| read from the line's far end, so
+    both give one normalized pattern."""
     with np.errstate(over="ignore", invalid="ignore"):
-        excitation = np.exp(-np.arange(n_cells) * gammas[:, None] * p)
-        total = np.abs(excitation).sum(axis=1)
+        decay = np.abs(gammas.real) * p
+        total = np.exp(np.maximum(-gammas.real, 0.0) * (n_cells - 1) * p)
+        total *= np.where(decay > 0.0, np.expm1(-n_cells * decay) / np.expm1(-decay), n_cells)
+        total[~np.isfinite(gammas.imag * (n_cells - 1) * p)] = math.nan
     if not np.isfinite(total).all():
         i = np.flatnonzero(~np.isfinite(total))[0]
         raise ValueError(
             f"sum of |exp(-n gamma p)| over {n_cells} cells must be finite, got {total[i]} "
             f"at gamma {gammas[i]} and period {p}"
         )
-    return excitation
+    return decay
 
 
-def _steer(phase_step, sin_theta, out: np.ndarray) -> None:
-    """Steering entries exp(j n k0 p sin theta) of cells n = 0 .. N-1 into
-    out[..., n], for k0 p from phase_step and sin theta from sin_theta,
-    broadcast to out.shape[:-1].
-
-    One complex exp per n >= 1, and 1 for n = 0, taken in place in out. The
-    exp argument is the one the complex product (j k0 p sin theta) n gives:
-    real part zero, imaginary part (k0 p sin theta + 0.0) n, so every entry
-    keeps its bits. + 0.0 as in that product: a zero phase is never negative.
-    """
-    step = np.multiply(phase_step, sin_theta)
-    step += 0.0
-    phase = out[..., 1:]
-    phase.real = 0.0
-    np.multiply(step[..., None], np.arange(1, out.shape[-1]), out=phase.imag)
-    np.exp(phase, out=phase)
-    out.real[..., 0] = 1.0
-    # exp(j 0) = 1 with the zero imaginary part signed like the phase step
-    out.imag[..., 0] = step * 0.0
+def _chord(decay, half, m) -> np.ndarray:
+    """|1 - z^m| of z = exp(-decay + 2j half): the hypot of 1 - r^m and
+    2 r^(m/2) sin(m half), r = exp(-decay), so no term is squared out of range."""
+    side = np.multiply(half, m)
+    np.sin(side, out=side)
+    side *= 2.0 * np.exp(-m * decay / 2.0)
+    return np.hypot(np.expm1(-m * decay), side, out=side)
 
 
-def _magnitudes(sin_theta, phase_step, excitation) -> np.ndarray:
+def _magnitudes(sin_theta, phase_step, gammas, p, n_cells) -> np.ndarray:
     """|AF| of each frequency and angle row, as a frequency x angle array.
 
-    _BLOCK frequencies at a time, one block x angle x cell buffer, reused
-    from block to block, is filled with steering entries in place,
-    multiplied by the excitation, and |AF| read back.
+    The excitation is geometric, z^n with z = r exp(j delta), r = exp(-|alpha| p)
+    and delta = k0 p sin theta - beta p, so |AF| = |1 - z^N| / |1 - z|, or N
+    where |1 - z| is 0 (Balanis, Antenna Theory, 3rd ed., 6.3). delta/2 is
+    reduced to [-pi/2, pi/2], so that N delta/2 keeps its digits on a
+    grating lobe, and rounded once for both chords, so that their ratio
+    stays N where a subnormal delta/2 loses digits.
     """
-    n_freqs, n_cells = excitation.shape
-    steering = np.empty((min(_BLOCK, n_freqs), len(sin_theta), n_cells), dtype=complex)
-    field = np.empty((*steering.shape[:2], 1), dtype=complex)
-    magnitude = np.empty((n_freqs, len(sin_theta)))
-    for lo in range(0, n_freqs, _BLOCK):
-        hi = min(lo + _BLOCK, n_freqs)
-        _steer(phase_step[lo:hi, None], sin_theta, steering[: hi - lo])
-        np.matmul(steering[: hi - lo], excitation[lo:hi, :, None], out=field[: hi - lo])
-        np.abs(field[: hi - lo, :, 0], out=magnitude[lo:hi])
+    decay = _decay(gammas, p, n_cells)[:, None]
+    half = np.multiply(phase_step[:, None], sin_theta)
+    half -= (gammas.imag * p)[:, None]
+    half /= 2.0
+    half -= math.pi * np.round(half / math.pi)
+    magnitude = _chord(decay, half, n_cells)
+    den = _chord(decay, half, 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        magnitude /= den
+    magnitude[den == 0.0] = n_cells
     return magnitude
 
 
@@ -189,13 +183,14 @@ def array_factor(
     """Pattern of n_cells isotropic radiators fed by a traveling wave.
 
     AF(theta) = sum over n of exp(-n gamma p) exp(j n k0 p sin theta),
-    normalized so the grid peak sits at 0 dB exactly. gamma and f are one
-    value each (floats come back) or 1-D arrays of one length, one
-    pattern per frequency (arrays come back).
+    taken as the closed-form geometric sum and normalized so the grid peak
+    sits at 0 dB exactly. gamma and f are one value each (floats come back)
+    or 1-D arrays of one length, one pattern per frequency (arrays come
+    back).
     """
     freqs, gammas, phase_step = _inputs(gamma, p, n_cells, f)
     theta, sin_theta = _default_grid()
-    magnitude = _magnitudes(sin_theta, phase_step, _excitation(gammas, p, n_cells))
+    magnitude = _magnitudes(sin_theta, phase_step, gammas, p, n_cells)
     db, main, width = _db_beam_and_width(theta, magnitude)
     if freqs.ndim == 0:
         return RadiationPattern(

@@ -1,9 +1,8 @@
 """Scalar reference for the array factor in `crlhkit.radiation`.
 
-One frequency at a time, the way the toolkit computed every pattern before
-`array_factor` took frequency arrays: one steering matrix, one product and
-a -3 dB walk outward from the peak. The tests hold the batched code to it
-digit for digit.
+One frequency at a time, as a direct sum over the cells: one steering
+matrix, one product and a -3 dB walk outward from the peak. The tests hold
+the closed-form geometric sum of `array_factor` to it within a stated bound.
 """
 
 import math
@@ -51,3 +50,9 @@ def magnitude(gamma: complex, p: float, n_cells: int, psi):
     n = np.arange(n_cells)
     excitation = np.exp(-n * complex(gamma) * p)
     return np.abs(np.exp(1j * np.outer(np.asarray(psi, dtype=float), n)) @ excitation)
+
+
+def normalized_magnitude(gamma: complex, p: float, n_cells: int, psi):
+    """|AF| over its largest value, the sum of |exp(-n gamma p)|."""
+    total = np.abs(np.exp(-np.arange(n_cells) * complex(gamma) * p)).sum()
+    return magnitude(gamma, p, n_cells, psi) / total

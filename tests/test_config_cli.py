@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import crlhkit
 from crlhkit import bloch, radiation, selfcheck
+from crlhkit import config as config_module
 from crlhkit.bloch import MAX_N_POINTS, REGIONS, dispersion_sweep
 from crlhkit.cell import CrlhUnitCell, resonances
 from crlhkit.cli import _jsonify, fmt, main
@@ -80,8 +81,25 @@ class TestConfigParsing:
         assert cfg.z0_line is None
 
     def test_unknown_profile(self):
-        with pytest.raises(ConfigError, match="paper-default"):
-            resolve_config(env={"CRLH_PROFILE": "nope"})
+        # parsed profiles are cached, errors are not: each call raises
+        for _ in range(2):
+            with pytest.raises(ConfigError, match="no bundled profile named 'nope'.*paper-default"):
+                resolve_config(env={"CRLH_PROFILE": "nope"})
+
+    def test_profile_is_parsed_once_and_overlays_stay_out_of_it(self, tmp_path, monkeypatch):
+        parsed = []
+
+        def counting(text, source="<config>"):
+            parsed.append(source)
+            return parse_config_text(text, source=source)
+
+        monkeypatch.setattr(config_module, "parse_config_text", counting)
+        config_module._profile_values.cache_clear()
+        path = write_cfg(tmp_path, "n_cells = 40\n")
+        assert resolve_config(path, env={}).cell_geometry.n_cells == 40
+        assert resolve_config(env={}).cell_geometry.n_cells == 8
+        assert resolve_config(path, env={}).cell_geometry.n_cells == 40
+        assert parsed == ["profile 'paper-default'", path, path]
 
     def test_unknown_key_names_file_and_line(self):
         with pytest.raises(ConfigError, match=r"x\.cfg:2: unknown key 'typo_key'"):

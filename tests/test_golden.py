@@ -15,6 +15,14 @@ The reproduce pin moved once more, when `beam consistency` came to judge the
 closed-form single-beam condition k0 p + |beta p| < 2 pi instead of comparing
 a grid beam with asin(beta/k0): only that check's detail changed, to report
 the largest (k0 p + |beta p|)/2 pi in place of the worst miss.
+
+The `pattern --freq 8.5 --freq 11` pin moved once, when |AF| came to be the
+closed-form geometric sum instead of a steering matrix times the excitation:
+at +-89.75 degrees and 11 GHz, -6.23830696e-06 dB now prints as
+-6.23830697e-06. A 50-digit sum over the same double inputs gives
+-6.23830696487e-06, 1.3e-15 dB from the rounding boundary: the old digits
+are the correctly rounded ones, and the new |AF| is about 2e-16 relative
+off them. No other line moved.
 """
 
 import hashlib
@@ -41,7 +49,7 @@ REPRODUCE_JSON_DIGEST = "334c62812bdbc39369810d211ec8a377d58d9ed7aeaa045c80377c7
 # stdout of `pattern` in its three output forms
 PATTERN_DIGESTS = {
     ("--format", "json", "--leakage"): "907bb4d1196ba74040ad04fdc6053ad461f681daa546cb1458ec8ddb8e6c7e25",
-    ("--freq", "8.5", "--freq", "11"): "ff04ce985eaa83e0aaa61651b9532d5f3824ffee20840b6455dc1cef2c22d92c",
+    ("--freq", "8.5", "--freq", "11"): "abb1d2dc18988c79e36dcd41ab63b148546caebad58cc03727199daddc2ae245",
     ("--polar-data",): "a967f99e82fc7eba05b2b90f2a502dc97bdcf794dc4b1ca522920597784927fa",
 }
 
