@@ -10,11 +10,15 @@ the right-handed one, rising through zero at the transition frequency.
 
 Every sample goes through one numpy kernel (_chain, then _gamma, then
 classify) over stacked rows: a row is one cell at its own frequencies, and
-the kernel reads each cell's elements repeated over its row's points. A
+the kernel reads each cell's elements repeated over its row's points. One
+packer (_packed) puts rows through the kernel in passes of whole rows and
+hands each row's samples, or its error, to what the row keeps of them. A
 scalar caller passes one frequency, and bloch_gamma, dispersion_sweep and
 transition_frequency are one-row calls. solve() takes every switch state
-of a design through the kernel together and keeps, per state, each result
-or the error that stopped it.
+of a design through the packer together and keeps, per state, each result
+or the error that stopped it; selfcheck.run_all adds each state's
+detuned control and trace frequencies to the rows of _plan, so at the
+default grid a `reproduce` is one kernel pass.
 """
 
 from __future__ import annotations
@@ -22,7 +26,8 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Iterator, NamedTuple
+from itertools import accumulate
+from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -36,13 +41,14 @@ if TYPE_CHECKING:
 DEFAULT_F_START = 7.5e9
 DEFAULT_F_STOP = 12.0e9
 DEFAULT_N_POINTS = 451
-# Grid points per kernel pass over stacked sweeps. A pass holds whole
-# rows, one cell's grid each, up to this budget; a longer row takes passes
-# of its own in blocks of this size. The complex temporaries grow with the
-# pass, not the grid, so a sweep peaks at about twice its result columns.
-# The three 451-point sweeps of `reproduce` fit one pass, as do its three
-# detuned controls, and each 15001-point state of a dense sweep is a pass
-# of its own.
+# Grid points per kernel pass. A pass holds whole rows, one cell at its own
+# frequencies each, up to this budget; a longer row takes passes of its own
+# in blocks of this size. The complex temporaries grow with the pass, not
+# the grid, so a sweep peaks at about twice its result columns. At the
+# default grid every row of `reproduce` fits one pass of 2,772 points: the
+# three 451-point sweeps, the six transition points, the three detuned
+# controls and the 60 trace frequencies. Each 15001-point row of a dense
+# run starts a pass of its own, which takes the short rows that follow it.
 _SWEEP_BLOCK = 16384
 
 # What a design the parser accepts can raise on its way through the model:
@@ -109,12 +115,15 @@ def _k0(f):
 def _elements(cells: list[CrlhUnitCell], counts: list[int]) -> tuple:
     """(l_r, c_r, l_l, c_l, r_series, period) of the cells, each repeated
     over its row's counts[i] points. One cell gives them as floats, so a
-    one-row pass makes no per-point copies."""
+    one-row pass makes no per-point copies, and cells of one period give
+    that period as a float."""
     if len(cells) == 1:
         (c,) = cells
         return c.l_r, c.c_r, c.l_l, c.c_l, c.r_series, c.period
-    values = np.array([[c.l_r, c.c_r, c.l_l, c.c_l, c.r_series, c.period] for c in cells])
-    return tuple(np.repeat(values.T, counts, axis=1))
+    values = np.array([[c.l_r, c.c_r, c.l_l, c.c_l, c.r_series] for c in cells])
+    periods = {c.period for c in cells}
+    period = periods.pop() if len(periods) == 1 else np.repeat([c.period for c in cells], counts)
+    return (*np.repeat(values.T, counts, axis=1), period)
 
 
 def _chain(elements: tuple, f: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -187,9 +196,13 @@ def _kernel(cells: list[CrlhUnitCell], fs: list[np.ndarray]) -> _Pass:
     """
     f = fs[0] if len(fs) == 1 else np.concatenate(fs)
     elements = _elements(cells, [len(x) for x in fs])
+    period = elements[5]
     with np.errstate(all="ignore"):
         a, b, c, overflow = _chain(elements, f)
-        beta, alpha = _gamma(a, b, elements[5])
+        # a stacked pass frees its per-point elements before _gamma's
+        # temporaries, so it peaks no higher than a one-row pass
+        del elements
+        beta, alpha = _gamma(a, b, period)
     invalid = ~((f > 0.0) & (f < math.inf))
     errors = [None] * len(fs)
     if invalid.any() or overflow.any():
@@ -201,7 +214,7 @@ def _kernel(cells: list[CrlhUnitCell], fs: list[np.ndarray]) -> _Pass:
             elif over.any():
                 errors[i] = PoleError(float(row[over.argmax()]), "chain-matrix entries overflow")
             lo += len(row)
-    return _Pass(f, elements[5], (a, b, c), beta, alpha, errors)
+    return _Pass(f, period, (a, b, c), beta, alpha, errors)
 
 
 def bloch_gamma(cell: CrlhUnitCell, f):
@@ -267,18 +280,8 @@ def dispersion_sweep(
     return sweep
 
 
-def _sweeps(
-    cells: list[CrlhUnitCell], f_start: float, f_stop: float, n_points: int
-) -> Iterator[DispersionSweep | CrlhError]:
-    """The dispersion sweep of each cell on one uniform grid, or the
-    PoleError that stopped it, one cell at a time; see dispersion_sweep.
-
-    The kernel runs in passes of whole rows up to _SWEEP_BLOCK points, and
-    over a grid longer than that in blocks of _SWEEP_BLOCK points a pass.
-    A row is handed over once its last pass is done, and no local keeps it
-    after that, so a caller that drops each sweep in turn holds one long
-    row at a time. The grid is checked when the first row is asked for.
-    """
+def _grid(f_start: float, f_stop: float, n_points: int) -> np.ndarray:
+    """The uniform grid of dispersion_sweep, or its ValueError."""
     for name, edge in (("f_start", f_start), ("f_stop", f_stop)):
         if not math.isfinite(edge):
             raise ValueError(f"{name} must be finite, got {edge}")
@@ -286,50 +289,136 @@ def _sweeps(
         raise ValueError(f"need 0 < f_start < f_stop, got ({f_start}, {f_stop})")
     if not 2 <= n_points <= MAX_N_POINTS:
         raise ValueError(f"n_points must be within 2..{MAX_N_POINTS}, got {n_points}")
-    f = np.linspace(f_start, f_stop, n_points)
-    if n_points > _SWEEP_BLOCK:
-        blocks = range(0, n_points, _SWEEP_BLOCK)
-        for cell in cells:
-            yield _joined([_pass_columns([cell], [f[lo : lo + _SWEEP_BLOCK]])[0] for lo in blocks])
-        return
-    per = _SWEEP_BLOCK // n_points
-    for k in range(0, len(cells), per):
-        stack = cells[k : k + per]
-        yield from [_joined([block]) for block in _pass_columns(stack, [f] * len(stack))]
+    return np.linspace(f_start, f_stop, n_points)
 
 
-def _pass_columns(cells: list[CrlhUnitCell], fs: list[np.ndarray]) -> list:
-    """Each row of one kernel pass as its block of DispersionSweep columns,
-    in field order, or as its error. The columns of a row that overflowed
-    are dropped, so their warnings are silenced too.
+def _sweeps(
+    cells: list[CrlhUnitCell], f_start: float, f_stop: float, n_points: int
+) -> Iterator[DispersionSweep | CrlhError]:
+    """The dispersion sweep of each cell on one uniform grid, or the
+    PoleError that stopped it, one cell at a time from _packed; see
+    dispersion_sweep. The grid is checked when the first row is asked for.
     """
-    # the chain entries go before the columns are allocated, which can then
-    # take their memory: at the 1,000,000-point cap that keeps `reproduce`
-    # at 238 MB RSS instead of 248 MB
-    solved = _kernel(cells, fs)._replace(chain=None)
+    f = _grid(f_start, f_stop, n_points)
+    yield from _packed([_Row(cell, f) for cell in cells])
+
+
+class _Block(NamedTuple):
+    """One row's samples: the DispersionSweep columns in field order, then
+    the chain entries (a, b, c) if the row asks for them."""
+
+    f: np.ndarray
+    beta: np.ndarray
+    alpha: np.ndarray
+    k0: np.ndarray
+    region: np.ndarray
+    leaky: np.ndarray
+    scan_deg: np.ndarray
+    chain: tuple[np.ndarray, np.ndarray, np.ndarray] | None
+
+
+def _as_sweep(block: _Block) -> DispersionSweep:
+    return DispersionSweep(*block[:7])
+
+
+class _Row(NamedTuple):
+    """One cell, or the error that stopped it, at its 1-D frequencies.
+
+    keep maps the row's _Block to what _packed hands over for the row; a
+    row with chain set gets the chain entries in its block.
+    """
+
+    cell: CrlhUnitCell | Exception
+    f: np.ndarray
+    keep: Callable[[_Block], object] = _as_sweep
+    chain: bool = False
+
+
+def _packed(rows: list[_Row]) -> Iterator:
+    """What each row keeps of its samples, or the error that stopped it
+    (its cell's, else that of its first block that fails), in row order.
+
+    Whole rows share a kernel pass up to _SWEEP_BLOCK points, and a row
+    longer than that takes passes of its own in blocks of _SWEEP_BLOCK
+    points. A row is handed over once its last pass is done, and no local
+    keeps it after that, so a caller that drops each row in turn holds one
+    long row at a time.
+    """
+    batch, size = [], 0
+    for row in rows:
+        points = 0 if isinstance(row.cell, Exception) else len(row.f)
+        if batch and size + points > _SWEEP_BLOCK:
+            yield from _pass_results(batch)
+            batch, size = [], 0
+        if points > _SWEEP_BLOCK:
+            # the blocks go straight into the join, so none outlives it
+            starts = range(0, points, _SWEEP_BLOCK)
+            yield _kept(
+                row,
+                [_pass_blocks([row._replace(f=row.f[lo : lo + _SWEEP_BLOCK])])[0] for lo in starts],
+            )
+        else:
+            batch.append(row)
+            size += points
+    if batch:
+        yield from _pass_results(batch)
+
+
+def _pass_results(rows: list[_Row]) -> list:
+    """What each row keeps of one kernel pass over the rows, or its error."""
+    built = [row for row in rows if not isinstance(row.cell, Exception)]
+    blocks = iter(_pass_blocks(built) if built else [])
+    return [
+        row.cell if isinstance(row.cell, Exception) else _kept(row, [next(blocks)])
+        for row in rows
+    ]
+
+
+def _pass_blocks(rows: list[_Row]) -> list:
+    """Each row of one kernel pass as its _Block, or as its error. The
+    columns of a row that overflowed are dropped, so their warnings are
+    silenced too.
+    """
+    solved = _kernel([row.cell for row in rows], [row.f for row in rows])
+    bounds = list(accumulate((len(row.f) for row in rows), initial=0))
+    spans = list(zip(bounds, bounds[1:]))
+    # a row that asks for the chain entries gets copies of its own, and the
+    # entries go before the columns are allocated, which can then take their
+    # memory: at the 1,000,000-point cap that keeps `reproduce` at 217 MB
+    # RSS instead of 226 MB
+    chains = [
+        tuple(entry[lo:hi].copy() for entry in solved.chain) if row.chain else None
+        for row, (lo, hi) in zip(rows, spans)
+    ]
+    solved = solved._replace(chain=None)
     with np.errstate(all="ignore"):
         k0 = _k0(solved.f)
         region = classify(solved.beta, solved.alpha, k0, solved.period)
         leaky = (region == _LH) | (region == _RH)
         scan_deg = np.where(leaky, _scan_deg(solved.beta, k0), np.nan)
     columns = solved.f, solved.beta, solved.alpha, k0, region, leaky, scan_deg
-    out, start = [], 0
-    for row, error in zip(fs, solved.errors):
-        out.append(error or tuple(column[start : start + len(row)] for column in columns))
-        start += len(row)
-    return out
+    return [
+        error or _Block(*(column[lo:hi] for column in columns), chain)
+        for (lo, hi), error, chain in zip(spans, solved.errors, chains)
+    ]
 
 
-def _joined(blocks: list) -> DispersionSweep | CrlhError:
-    """One row's sweep from the column blocks of its passes, or the first
+def _kept(row: _Row, blocks: list):
+    """What row keeps of the blocks of its passes, joined, or the first
     error among them."""
     error = next((block for block in blocks if isinstance(block, Exception)), None)
     if error is not None:
         return error
     if len(blocks) == 1:
         # one block keeps its arrays: joining would copy them into fresh memory
-        return DispersionSweep(*blocks[0])
-    return DispersionSweep(*map(np.concatenate, zip(*blocks)))
+        return row.keep(blocks[0])
+    # the blocks' frequencies are slices of the row's own, so that array
+    # stands for their join and a long sweep shares its grid
+    columns = map(np.concatenate, zip(*(block[1:7] for block in blocks)))
+    chain = None
+    if row.chain:
+        chain = tuple(map(np.concatenate, zip(*(block.chain for block in blocks))))
+    return row.keep(_Block(row.f, *columns, chain))
 
 
 def transition_frequency(
@@ -397,16 +486,51 @@ class StateSolution:
     gamma0: tuple[float, float] | Exception  # bloch_gamma at f0: (beta, alpha)
 
 
-def solve(config: RunConfig) -> list[StateSolution]:
-    """Every target state of config, in state order.
+def _at_point(block: _Block) -> tuple[float, float]:
+    """(beta, alpha) of a one-point row."""
+    return float(block.beta[0]), float(block.alpha[0])
 
-    The cells are calibrated one by one. Their sweeps go through the
-    kernel stacked (one pass on grids up to a third of _SWEEP_BLOCK), and
-    one more pass takes the lossless gap midpoints of transition_frequency
-    together with each cell at its f_sh. Raises the ConfigError of a
-    config without a target state; every _FAILURES error of a state is
-    kept in the slots it stops.
-    """
+
+class _Plan(NamedTuple):
+    """The rows solve() puts through the packer for a config, and how it
+    reads their results back."""
+
+    states: list[int]
+    cells: list  # per state: its cell, or the error that stopped it
+    grid: np.ndarray
+    crossings: list  # per state: (f_se, f_sh), or the error that stops it
+    # each state's sweep, then two one-point rows per state whose f_sh is
+    # in band: its lossless cell midway between f_se and f_sh, then the
+    # cell itself at f_sh
+    rows: list[_Row]
+
+    def solutions(self, results: list) -> list[StateSolution]:
+        """Every state's StateSolution from what _packed gave for rows."""
+        n = len(self.states)
+        points = iter(results[n:])
+        f0s, gamma0s = list(self.crossings), list(self.crossings)
+        for i, crossing in enumerate(self.crossings):
+            if isinstance(crossing, Exception):
+                continue
+            mid, at_f0 = next(points), next(points)
+            try:
+                if isinstance(mid, Exception):
+                    raise mid
+                _check_gapless(*crossing, mid[1])
+            except _FAILURES as exc:
+                f0s[i] = gamma0s[i] = exc
+                continue
+            f0s[i], gamma0s[i] = crossing[1], at_f0
+        return [
+            StateSolution(*slots)
+            for slots in zip(self.states, self.cells, results[:n], f0s, gamma0s)
+        ]
+
+
+def _plan(config: RunConfig) -> _Plan:
+    """The cells of config's target states, calibrated one by one, and the
+    rows that solve them; the ConfigError of a config without a target
+    state."""
     states = config.target_states()
     cells = []
     for n in states:
@@ -414,41 +538,35 @@ def solve(config: RunConfig) -> list[StateSolution]:
             cells.append(config.cell(n))
         except _FAILURES as exc:
             cells.append(exc)
-    built = [i for i, cell in enumerate(cells) if not isinstance(cell, Exception)]
-    sweeps, crossings = list(cells), list(cells)
-    grid = (config.f_start, config.f_stop, config.n_points)
-    for i, sweep in zip(built, _sweeps([cells[i] for i in built], *grid)):
-        sweeps[i] = sweep
-    for i in built:
+    grid = _grid(config.f_start, config.f_stop, config.n_points)
+    crossings, rows = list(cells), [_Row(cell, grid) for cell in cells]
+    for i, cell in enumerate(cells):
+        if isinstance(cell, Exception):
+            continue
         try:
-            crossings[i] = _resonances_in(cells[i], (config.f_start, config.f_stop))
+            f_se, f_sh = crossings[i] = _resonances_in(cell, (config.f_start, config.f_stop))
         except _FAILURES as exc:
             crossings[i] = exc
-    # two one-point rows per state whose f_sh is in band: its lossless cell
-    # midway between f_se and f_sh, then the cell itself at f_sh
-    in_band = [i for i in built if isinstance(crossings[i], tuple)]
-    rows = []
-    for i in in_band:
-        f_se, f_sh = crossings[i]
-        rows += [(replace(cells[i], r_series=0.0), 0.5 * (f_se + f_sh)), (cells[i], f_sh)]
-    if rows:
-        solved = _kernel([cell for cell, _ in rows], [np.array([f]) for _, f in rows])
-    f0s, gamma0s = list(crossings), list(crossings)
-    for k, i in enumerate(in_band):
-        mid, at_f0 = 2 * k, 2 * k + 1
-        try:
-            if solved.errors[mid] is not None:
-                raise solved.errors[mid]
-            _check_gapless(*crossings[i], float(solved.alpha[mid]))
-        except _FAILURES as exc:
-            f0s[i] = gamma0s[i] = exc
             continue
-        f0s[i] = crossings[i][1]
-        gamma0s[i] = solved.errors[at_f0] or (
-            float(solved.beta[at_f0]),
-            float(solved.alpha[at_f0]),
-        )
-    return [StateSolution(*slots) for slots in zip(states, cells, sweeps, f0s, gamma0s)]
+        rows += [
+            _Row(replace(cell, r_series=0.0), np.array([0.5 * (f_se + f_sh)]), _at_point),
+            _Row(cell, np.array([f_sh]), _at_point),
+        ]
+    return _Plan(states, cells, grid, crossings, rows)
+
+
+def solve(config: RunConfig) -> list[StateSolution]:
+    """Every target state of config, in state order.
+
+    The cells are calibrated one by one. Their sweeps and the points of
+    transition_frequency (each lossless gap midpoint, and each cell at its
+    f_sh) go through the kernel together in the passes of _packed: one
+    pass on grids up to a third of _SWEEP_BLOCK. Raises the ConfigError of
+    a config without a target state; every _FAILURES error of a state is
+    kept in the slots it stops.
+    """
+    plan = _plan(config)
+    return plan.solutions(list(_packed(plan.rows)))
 
 
 def scan_profile(

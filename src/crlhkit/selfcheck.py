@@ -10,7 +10,6 @@ All randomness is seeded, so a run is reproducible bit for bit.
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 from dataclasses import dataclass, replace
@@ -18,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import idc
-from .bloch import _FAILURES, REGIONS, DispersionSweep, Region, _kernel, _sweeps, solve
+from .bloch import _FAILURES, REGIONS, DispersionSweep, Region, _Block, _packed, _plan, _Row
 from .cell import CrlhUnitCell
 from .config import RunConfig
 
@@ -36,6 +35,7 @@ TRACE_NOISE = 1e-12
 SCAN_LIMIT_DEG = 45.0
 TRACE_SEED = 0x5EED
 N_TRACE_FREQS = 20
+DETUNE = 1.2  # scale of each detuned control's shunt capacitance C_R
 
 _EVANESCENT = REGIONS.index(Region.EVANESCENT)
 
@@ -43,6 +43,7 @@ Cells = dict[int, CrlhUnitCell]
 Sweeps = dict[int, DispersionSweep]
 Transitions = dict[int, float]  # finger count -> beta zero crossing [Hz]
 Gammas = dict[int, tuple[float, float] | Exception]  # (beta, alpha) at the crossing
+Controls = dict[int, int | Exception]  # detuned control's gap samples, or its error
 
 
 @dataclass(frozen=True)
@@ -67,7 +68,7 @@ def _first_error(slots: list) -> Exception | None:
     return next((slot for slot in slots if isinstance(slot, Exception)), None)
 
 
-def _gap_samples(sweep: DispersionSweep) -> int:
+def _gap_samples(sweep: DispersionSweep | _Block) -> int:
     """Evanescent samples between the first and last pass-band one, leaky
     or slow; -1 without any."""
     passing = np.flatnonzero(sweep.region != _EVANESCENT)
@@ -120,30 +121,32 @@ def check_broadside_tuning(config: RunConfig, f0s: Transitions) -> tuple[bool, s
     return ok, "; ".join(parts) + f" (allow {TUNING_RTOL:.1%})"
 
 
-def check_closed_stopband(
-    config: RunConfig, cells: Cells, sweeps: Sweeps, gamma0s: Gammas
-) -> tuple[bool, str]:
+def _detuned(cell: CrlhUnitCell | Exception) -> CrlhUnitCell | Exception:
+    """The detuned control of a cell: its shunt branch's C_R scaled by
+    DETUNE, or the error that stops it."""
+    if isinstance(cell, Exception):
+        return cell
+    try:
+        return replace(cell, c_r=DETUNE * cell.c_r)
+    except _FAILURES as exc:
+        return exc
+
+
+def check_closed_stopband(sweeps: Sweeps, gamma0s: Gammas, controls: Controls) -> tuple[bool, str]:
     """Balanced cells have no gap at the crossing; detuning opens one.
 
-    The detuned controls, each shunt branch scaled 20 percent, are swept
-    in passes of their own, so an error of one fails this check alone.
+    controls holds each state's detuned control (_detuned) on the sweep's
+    grid as its gap samples, or as the error that stopped it. run_all
+    takes the controls through its one packer with the design's other
+    rows, and each is reduced to its gap count as its pass ends, so memory
+    stays bounded and an error of one fails this check alone.
     """
-    detuned = {}
-    for n, cell in cells.items():
-        try:
-            detuned[n] = replace(cell, c_r=1.2 * cell.c_r)
-        except _FAILURES as exc:
-            detuned[n] = exc
-    built = [cell for cell in detuned.values() if not isinstance(cell, Exception)]
-    controls = _sweeps(built, config.f_start, config.f_stop, config.n_points)
     parts = []
     ok = True
-    for n in cells:
+    for n in sweeps:
         gap = _gap_samples(sweeps[n])
         alpha0 = _value(gamma0s[n])[1]
-        _value(detuned[n])  # a control that could not be built
-        # no name holds a control, so each is dropped once counted
-        opened = max(_gap_samples(_value(next(controls))), 0)
+        opened = max(_value(controls[n]), 0)
         state_ok = gap == 0 and alpha0 <= BROADSIDE_ALPHA_MAX and opened > 0
         ok = ok and state_ok
         parts.append(
@@ -212,36 +215,78 @@ def check_scan_coverage(config: RunConfig, sweeps: Sweeps) -> tuple[bool, str]:
     return ok, "; ".join(parts)
 
 
-def check_trace_identity(config: RunConfig, cells: Cells) -> tuple[bool, str]:
+@functools.cache
+def _trace_variates() -> np.ndarray:
+    """The trace identity's seeded unit variates, one row of N_TRACE_FREQS
+    per state (three at most), drawn in the order the states draw them.
+
+    They read no input, so they are drawn once per process; lo + (hi - lo) u
+    is bit for bit what Generator.uniform(lo, hi) returns from them.
+    """
+    u = np.random.default_rng(TRACE_SEED).random((3, N_TRACE_FREQS))
+    u.flags.writeable = False
+    return u
+
+
+def _trace_rows(config: RunConfig, cells: list) -> list[_Row]:
+    """Each cell at its N_TRACE_FREQS seeded frequencies in the band, as
+    _packed rows whose blocks keep the chain entries."""
+    lo, hi = config.f_start, config.f_stop
+    return [
+        _Row(cell, lo + (hi - lo) * u, lambda block: block, chain=True)
+        for cell, u in zip(cells, _trace_variates())
+    ]
+
+
+def _eighth_power(a, b, c):
+    """Entries (a, b, c) of M^8 for symmetric chain matrices M = [[a, b], [c, a]].
+
+    Three squarings, as np.linalg.matrix_power takes for n = 8; each keeps
+    the form, since [[a, b], [c, a]]^2 = [[a^2 + bc, 2ab], [2ac, a^2 + bc]].
+    """
+    for _ in range(3):
+        a, b, c = a * a + b * c, 2.0 * a * b, 2.0 * a * c
+    return a, b, c
+
+
+def check_trace_identity(
+    config: RunConfig, cells: Cells, rows: list | None = None
+) -> tuple[bool, str]:
     """trace(M^8) equals 2 cosh(8 gamma p) at random frequencies.
 
-    Each state draws its frequencies from the seeded generator in turn,
-    and one kernel pass and one matrix power take them all.
+    rows are the _packed results of _trace_rows over the cells, as run_all
+    takes them in its one pass; without them the check makes a pass of its
+    own. Every state's samples are compared at once, and the first that
+    fails, in state order, fails the check; a row that could not be solved
+    raises its error once the states before it pass.
     """
-    rng = np.random.default_rng(TRACE_SEED)
-    freqs = [rng.uniform(config.f_start, config.f_stop, N_TRACE_FREQS) for _ in cells]
-    solved = _kernel(list(cells.values()), freqs)
-    a, b, c = solved.chain
-    with np.errstate(all="ignore"):
-        m8 = np.linalg.matrix_power(np.stack([a, b, c, a], axis=-1).reshape(-1, 2, 2), 8)
-    traces = (m8[:, 0, 0] + m8[:, 1, 1]).tolist()
-    betas, alphas = solved.beta.tolist(), solved.alpha.tolist()
+    if rows is None:
+        rows = list(_packed(_trace_rows(config, list(cells.values()))))
+    solved = next((i for i, row in enumerate(rows) if isinstance(row, Exception)), len(rows))
+    states, blocks = list(cells.items())[:solved], rows[:solved]
     worst = 0.0
-    for i, ((n, cell), f_row, error) in enumerate(zip(cells.items(), freqs, solved.errors)):
-        if error is not None:
-            raise error
-        row = slice(i * N_TRACE_FREQS, (i + 1) * N_TRACE_FREQS)
-        for f, trace, beta, alpha in zip(f_row.tolist(), traces[row], betas[row], alphas[row]):
-            gp = complex(alpha, beta) * cell.period
-            try:
-                expected = 2.0 * cmath.cosh(8.0 * gp)
-            except OverflowError:
-                return False, f"{n}f: 2 cosh(8 gamma p) overflows at {f / 1e9:.6f} GHz"
-            rel = abs(trace - expected) / max(1.0, abs(expected))
-            if not math.isfinite(rel):
-                side = "2 cosh(8 gamma p)" if cmath.isfinite(trace) else "trace(M^8)"
-                return False, f"{n}f: {side} is not finite at {f / 1e9:.6f} GHz"
-            worst = max(worst, rel)
+    if blocks:
+        period = np.array([[cell.period] for _, cell in states])
+        gp8 = np.empty((len(blocks), N_TRACE_FREQS), dtype=complex)  # 8 gamma p
+        gp8.real = 8.0 * (np.array([block.alpha for block in blocks]) * period)
+        gp8.imag = 8.0 * (np.array([block.beta for block in blocks]) * period)
+        a, b, c = (np.array(entry) for entry in zip(*(block.chain for block in blocks)))
+        with np.errstate(all="ignore"):
+            trace = 2.0 * _eighth_power(a, b, c)[0]
+            expected = 2.0 * np.cosh(gp8)
+            rel = np.abs(trace - expected) / np.maximum(1.0, np.abs(expected))
+        failed = ~np.isfinite(rel)
+        if failed.any():
+            i, j = np.unravel_index(failed.argmax(), failed.shape)
+            n, at = states[i][0], f"at {blocks[i].f[j] / 1e9:.6f} GHz"
+            # the cosh of a finite 8 gamma p that is not finite overflowed
+            if np.isfinite(gp8[i, j]) and not np.isfinite(expected[i, j]):
+                return False, f"{n}f: 2 cosh(8 gamma p) overflows {at}"
+            side = "2 cosh(8 gamma p)" if np.isfinite(trace[i, j]) else "trace(M^8)"
+            return False, f"{n}f: {side} is not finite {at}"
+        worst = float(rel.max())
+    if solved < len(rows):
+        raise rows[solved]
     shown = f"< {TRACE_NOISE:.0e}" if worst < TRACE_NOISE else f"{worst:.2e}"
     return (
         worst <= TRACE_RTOL,
@@ -281,16 +326,25 @@ def _run(name: str, check, *args) -> CheckResult:
 def run_all(config: RunConfig) -> list[CheckResult]:
     """Every check, in report order; one that cannot run is reported failed.
 
-    The checks share one solve() of the design. The first cell that
-    fails, else the first sweep, fails the six per-state checks with its
-    error, as does a config without any target state; the first
-    transition that fails fails the two checks that read the transitions.
+    Every Bloch evaluation of the run goes through one packer: the rows
+    that solve() takes for the design, then each state's detuned control
+    and its trace frequencies, so at the default grid the checks read one
+    kernel pass. The first cell that fails, else the first sweep, fails
+    the six per-state checks with its error, as does a config without any
+    target state; the first transition that fails fails the two checks
+    that read the transitions.
     """
     try:
-        states = solve(config)
+        plan = _plan(config)
     except _FAILURES as exc:
-        states, error = [], exc
+        error = controls = traces = exc
     else:
+        detuned = [_Row(_detuned(cell), plan.grid, _gap_samples) for cell in plan.cells]
+        results = list(_packed(plan.rows + detuned + _trace_rows(config, plan.cells)))
+        k, m = len(plan.rows), len(plan.states)
+        states = plan.solutions(results[:k])
+        controls = dict(zip(plan.states, results[k : k + m]))
+        traces = results[k + m :]
         error = _first_error([s.cell for s in states] + [s.sweep for s in states])
     if error is not None:
         cells = sweeps = f0s = gamma0s = error
@@ -305,10 +359,10 @@ def run_all(config: RunConfig) -> list[CheckResult]:
         _run("series-capacitance anchor", check_capacitance_anchor, config),
         _run("elliptic-ratio fidelity", check_elliptic_ratio),
         _run("broadside tuning", check_broadside_tuning, config, f0s),
-        _run("gapless balanced bands", check_closed_stopband, config, cells, sweeps, gamma0s),
+        _run("gapless balanced bands", check_closed_stopband, sweeps, gamma0s, controls),
         _run("beam consistency", check_beam_consistency, config, cells, sweeps),
         _run("full-space scanning", check_scan_coverage, config, sweeps),
-        _run("cascade trace identity", check_trace_identity, config, cells),
+        _run("cascade trace identity", check_trace_identity, config, cells, traces),
         _run("backward-wave slope", check_backward_slope, sweeps),
     ]
 

@@ -26,7 +26,7 @@ from crlhkit.config import (
     parse_config_text,
     resolve_config,
 )
-from crlhkit.errors import ConfigError, CrlhError
+from crlhkit.errors import ConfigError, CrlhError, PoleError
 from crlhkit.geometry import MAX_N_CELLS, CellGeometry
 from crlhkit.radiation import array_factor, pattern_for_frequency
 
@@ -842,9 +842,9 @@ class TestCliCommands:
         assert "detuned gap 0" not in gapless.detail
 
     def test_reproduce_solves_each_state_once(self, tmp_path, monkeypatch, capsys):
-        # the states are stacked into kernel passes: the sweeps, then the
-        # gap midpoints with each f_sh, then, in `reproduce` alone, the
-        # detuned controls and the trace identity's 20 frequencies a state
+        # one kernel pass takes every row: the sweeps, the gap midpoints
+        # with each f_sh, then, in `reproduce` alone, the detuned controls
+        # and the trace identity's 20 frequencies a state
         points = []
 
         def counted(elements, f):
@@ -855,10 +855,10 @@ class TestCliCommands:
         monkeypatch.setattr(bloch, "_chain", counted)
         assert main(["reproduce"]) == 0
         assert "8/8 checks passed" in capsys.readouterr().out
-        assert points == [3 * 451, 3 * 2, 3 * 451, 3 * 20]
+        assert points == [2 * 3 * 451 + 3 * 2 + 3 * 20]
         points.clear()
         assert main(["sweep", "--out", str(tmp_path)]) == 0
-        assert points == [3 * 451, 3 * 2]
+        assert points == [3 * 451 + 3 * 2]
         # the beam check reads the sweeps alone: no pattern is built
         proc = run_python(
             "-c",
@@ -867,6 +867,45 @@ class TestCliCommands:
         )
         assert proc.stderr == ""
         assert proc.stdout.splitlines()[-2:] == ["8/8 checks passed", "False 0"]
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "",
+            "finger_length_mm = 0.7105\ngap_mm = 0.4731\nepsilon_r = 3.571\n"
+            "target_2_ghz = 10.12\ntarget_3_ghz = 9.07\ntarget_4_ghz = 8.81\n",
+            "finger_length_mm = 1.0214\ngap_mm = 0.3315\nepsilon_r = 4.102\n"
+            "target_2_ghz = 8.66\ntarget_3_ghz = 10.43\ntarget_4_ghz = 9.58\n",
+        ],
+        ids=["paper-default", "perturbed-a", "perturbed-b"],
+    )
+    def test_reproduce_reads_the_same_under_every_pass_budget(self, tmp_path, monkeypatch, text):
+        # a budget of 5 splits every row into blocks, 64 and 450 pack the
+        # short rows apart from the sweeps and split the 451-point ones
+        config = resolve_config(write_cfg(tmp_path, text), env={})
+        whole = selfcheck.run_all(config)
+        for budget in (5, 64, 450, bloch._SWEEP_BLOCK):
+            monkeypatch.setattr(bloch, "_SWEEP_BLOCK", budget)
+            assert selfcheck.run_all(config) == whole, budget
+
+    def test_an_error_in_one_detuned_control_fails_the_gapless_check_alone(
+        self, tmp_path, monkeypatch
+    ):
+        # the 2-finger chain entries first overflow near 1.264e111 Hz, those
+        # of its detuned control near 1.189e111 Hz, so a grid that ends
+        # between the two fails that control and nothing else
+        config = resolve_config(write_cfg(tmp_path, "freq_stop_ghz = 1.22e102\nn_points = 7\n"), env={})
+        cell = config.cell(2)
+        with pytest.raises(PoleError) as control:
+            dispersion_sweep(replace(cell, c_r=1.2 * cell.c_r), config.f_start, config.f_stop, 7)
+        assert str(control.value) == "chain-matrix entries overflow (f = 1.22e+111 Hz)"
+        results = selfcheck.run_all(config)
+        assert results[3] == selfcheck.CheckResult("gapless balanced bands", False, str(control.value))
+        # with undetuned controls every row solves: the other checks read the same
+        monkeypatch.setattr(selfcheck, "DETUNE", 1.0)
+        solved = selfcheck.run_all(config)
+        assert solved[3].detail.startswith("2f: gap samples ")
+        assert results[:3] + results[4:] == solved[:3] + solved[4:]
 
     @pytest.mark.parametrize("leakage", [[], ["--leakage", "0.05"]], ids=["bloch", "leakage"])
     def test_sweep_takes_the_broadside_beams_in_one_call(
@@ -949,6 +988,27 @@ class TestCliCommands:
         monkeypatch.setattr(selfcheck, "TRACE_NOISE", 0.0)
         ok, detail = selfcheck.check_trace_identity(config, cells)
         assert ok and re.match(r"worst relative error \d\.\d\de-\d\d over 20 ", detail)
+
+    @pytest.mark.parametrize("band", [(7.5e9, 12e9), (1e9, 40e9)], ids=["paper-band", "wide-band"])
+    def test_trace_frequencies_are_the_seeded_uniform_draws(self, config, cells, band):
+        # each state draws from one generator in turn, as Generator.uniform does
+        config = replace(config, f_start=band[0], f_stop=band[1])
+        rng = np.random.default_rng(selfcheck.TRACE_SEED)
+        rows = selfcheck._trace_rows(config, list(cells.values()))
+        assert len(rows) == 3
+        for row in rows:
+            assert row.f.tobytes() == rng.uniform(*band, selfcheck.N_TRACE_FREQS).tobytes()
+
+    @pytest.mark.parametrize("band", [(7.5e9, 12e9), (1e9, 40e9)], ids=["paper-band", "wide-band"])
+    def test_trace_squarings_match_the_matrix_power(self, config, cells, band):
+        # the trace the check judges, relative as the check takes it
+        config = replace(config, f_start=band[0], f_stop=band[1])
+        for row in bloch._packed(selfcheck._trace_rows(config, list(cells.values()))):
+            a, b, c = row.chain
+            m8 = np.linalg.matrix_power(np.stack([a, b, c, a], axis=-1).reshape(-1, 2, 2), 8)
+            oracle = m8[:, 0, 0] + m8[:, 1, 1]
+            trace = 2.0 * selfcheck._eighth_power(a, b, c)[0]
+            assert (np.abs(trace - oracle) / np.maximum(1.0, np.abs(oracle)) <= 1e-15).all()
 
     def test_trace_identity_fails_on_a_trace_that_is_not_finite(self, config):
         # a huge shunt admittance overflows M^4 into NaN while
