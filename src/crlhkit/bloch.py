@@ -9,16 +9,17 @@ impedance has a meaningful real part its sign fixes beta so power flows in
 the right-handed one, rising through zero at the transition frequency.
 
 Every sample goes through one numpy kernel (_chain, then _gamma, then
-classify) over stacked rows: a row is one cell at its own frequencies, and
-the kernel reads each cell's elements repeated over its row's points. One
-packer (_packed) puts rows through the kernel in passes of whole rows and
-hands each row's samples, or its error, to what the row keeps of them. A
-scalar caller passes one frequency, and bloch_gamma, dispersion_sweep and
-transition_frequency are one-row calls. solve() takes every switch state
-of a design through the packer together and keeps, per state, each result
-or the error that stopped it; selfcheck.run_all adds each state's
-detuned control and trace frequencies to the rows of _plan, so at the
-default grid a `reproduce` is one kernel pass.
+classify) over a 2-D array with one row per cell and one column per
+frequency: each cell's elements and period are (rows, 1) columns that
+broadcast against the frequencies. _columns takes a design's cells on its
+shared grid, then each row at its own few points after it (the gap
+midpoint and f_sh, then in `reproduce` the trace frequencies), in blocks
+of columns. solve() takes every switch state of a design through one
+_columns call and keeps, per state, each result or the error that stopped
+it; selfcheck.run_all adds each state's detuned control as a row and the
+trace frequencies as columns through the same _solve, so at the default
+grid a `reproduce` is one kernel pass. bloch_gamma, dispersion_sweep and
+transition_frequency are one-row calls of the same kernel.
 """
 
 from __future__ import annotations
@@ -26,8 +27,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, replace
-from itertools import accumulate
-from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -41,14 +41,13 @@ if TYPE_CHECKING:
 DEFAULT_F_START = 7.5e9
 DEFAULT_F_STOP = 12.0e9
 DEFAULT_N_POINTS = 451
-# Grid points per kernel pass. A pass holds whole rows, one cell at its own
-# frequencies each, up to this budget; a longer row takes passes of its own
-# in blocks of this size. The complex temporaries grow with the pass, not
-# the grid, so a sweep peaks at about twice its result columns. At the
-# default grid every row of `reproduce` fits one pass of 2,772 points: the
-# three 451-point sweeps, the six transition points, the three detuned
-# controls and the 60 trace frequencies. Each 15001-point row of a dense
-# run starts a pass of its own, which takes the short rows that follow it.
+# Samples (cells x columns) per block of the kernel. A design's rows take
+# their columns together in blocks of at most this many samples, so the
+# complex temporaries grow with the block, not the grid, and a solve peaks
+# at its results plus one block. At the default grid every row of
+# `reproduce` fits one block of 6 x 473 samples: three states and their
+# three detuned controls, each on the 451-point grid, the gap midpoint,
+# f_sh and 20 trace frequencies. A 15,001-point `sweep` takes three blocks.
 _SWEEP_BLOCK = 16384
 
 # What a design the parser accepts can raise on its way through the model:
@@ -112,25 +111,19 @@ def _k0(f):
     return 2.0 * math.pi * f / C0
 
 
-def _elements(cells: list[CrlhUnitCell], counts: list[int]) -> tuple:
-    """(l_r, c_r, l_l, c_l, r_series, period) of the cells, each repeated
-    over its row's counts[i] points. One cell gives them as floats, so a
-    one-row pass makes no per-point copies, and cells of one period give
-    that period as a float."""
-    if len(cells) == 1:
-        (c,) = cells
-        return c.l_r, c.c_r, c.l_l, c.c_l, c.r_series, c.period
-    values = np.array([[c.l_r, c.c_r, c.l_l, c.c_l, c.r_series] for c in cells])
-    periods = {c.period for c in cells}
-    period = periods.pop() if len(periods) == 1 else np.repeat([c.period for c in cells], counts)
-    return (*np.repeat(values.T, counts, axis=1), period)
+def _cell_values(cells: list[CrlhUnitCell]) -> np.ndarray:
+    """(l_r, c_r, l_l, c_l, r_series, period) of the cells, each a (rows, 1)
+    column that broadcasts against a (rows, columns) block of frequencies."""
+    values = [[c.l_r, c.c_r, c.l_l, c.c_l, c.r_series, c.period] for c in cells]
+    return np.array(values).T[:, :, None]
 
 
-def _chain(elements: tuple, f: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Chain-matrix entries a (= d), b and c of symmetric-T cells, one per f,
-    and the mask of the points where an entry overflows.
+def _chain(values: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Chain-matrix entries a (= d), b and c of symmetric-T cells at f, and
+    the mask of the samples where an entry overflows.
 
-    elements are the per-point cell values of _elements. Half the series
+    values are the cells' columns of _cell_values, and f holds one row of
+    frequencies per cell or one row that every cell shares. Half the series
     branch z = r + j(w L_R - 1/(w C_L)), the full shunt tank
     y = j(w C_R - 1/(w L_L)), then the other half; the cascade collapses to
     a = d = 1 + zy/2, b = z + z^2 y/4, c = y. With positive elements a
@@ -138,12 +131,13 @@ def _chain(elements: tuple, f: np.ndarray) -> tuple[np.ndarray, ...]:
     resonance of this topology is an admittance zero. Callers silence
     numpy's floating-point warnings and judge the mask.
     """
-    l_r, c_r, l_l, c_l, r_series = elements[:5]
+    l_r, c_r, l_l, c_l, r_series = values[:5]
     w = 2.0 * math.pi * f
-    z = np.empty(f.shape, dtype=complex)
+    shape = np.broadcast_shapes(w.shape, l_r.shape)
+    z = np.empty(shape, dtype=complex)
     z.real = r_series
     z.imag = w * l_r - 1.0 / (w * c_l)
-    y = np.empty(f.shape, dtype=complex)
+    y = np.empty(shape, dtype=complex)
     y.real = 0.0
     y.imag = w * c_r - 1.0 / (w * l_l)
     zh = 0.5 * z
@@ -175,46 +169,22 @@ def _gamma(a: np.ndarray, b: np.ndarray, p) -> tuple[np.ndarray, np.ndarray]:
     return beta_p / p, alpha
 
 
-class _Pass(NamedTuple):
-    """One kernel pass over stacked rows, as per-point arrays."""
-
-    f: np.ndarray
-    period: float | np.ndarray
-    chain: tuple[np.ndarray, np.ndarray, np.ndarray]  # a (= d), b, c
-    beta: np.ndarray
-    alpha: np.ndarray
-    errors: list  # per row: None, or the error its points raise
-
-
-def _kernel(cells: list[CrlhUnitCell], fs: list[np.ndarray]) -> _Pass:
-    """Bloch solution of each cells[i] at its 1-D float frequencies fs[i],
-    in one pass of the kernel.
-
-    A row's error is a ValueError naming its first frequency that is not
-    positive and finite, else a PoleError at its first frequency whose
-    chain matrix overflows; the other rows are unaffected.
-    """
-    f = fs[0] if len(fs) == 1 else np.concatenate(fs)
-    elements = _elements(cells, [len(x) for x in fs])
-    period = elements[5]
+def _kernel(values: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(beta, alpha) of the cells of values at f, as _chain takes them, and
+    the mask of the samples that fail: a frequency that is not positive
+    and finite, or chain entries that overflow."""
     with np.errstate(all="ignore"):
-        a, b, c, overflow = _chain(elements, f)
-        # a stacked pass frees its per-point elements before _gamma's
-        # temporaries, so it peaks no higher than a one-row pass
-        del elements
-        beta, alpha = _gamma(a, b, period)
-    invalid = ~((f > 0.0) & (f < math.inf))
-    errors = [None] * len(fs)
-    if invalid.any() or overflow.any():
-        lo = 0
-        for i, row in enumerate(fs):
-            bad, over = invalid[lo : lo + len(row)], overflow[lo : lo + len(row)]
-            if bad.any():
-                errors[i] = ValueError(f"frequency must be positive and finite, got {row[bad][0]}")
-            elif over.any():
-                errors[i] = PoleError(float(row[over.argmax()]), "chain-matrix entries overflow")
-            lo += len(row)
-    return _Pass(f, period, (a, b, c), beta, alpha, errors)
+        a, b, y, overflow = _chain(values, f)
+        del y  # _gamma reads a and b only, so its temporaries may take y's memory
+        beta, alpha = _gamma(a, b, values[5])
+    return beta, alpha, overflow | ~((f > 0.0) & (f < math.inf))
+
+
+def _failure(f: float) -> Exception:
+    """The error of the first sample at f that the kernel could not solve."""
+    if 0.0 < f < math.inf:
+        return PoleError(f, "chain-matrix entries overflow")
+    return ValueError(f"frequency must be positive and finite, got {f}")
 
 
 def bloch_gamma(cell: CrlhUnitCell, f):
@@ -232,12 +202,14 @@ def bloch_gamma(cell: CrlhUnitCell, f):
     chain matrix overflows.
     """
     freqs = np.asarray(f, dtype=float)
-    solved = _kernel([cell], [freqs.reshape(-1)])
-    if solved.errors[0] is not None:
-        raise solved.errors[0]
+    row = freqs.reshape(1, -1)
+    beta, alpha, bad = _kernel(_cell_values([cell]), row)
+    if bad.any():
+        invalid = ~((row > 0.0) & (row < math.inf))
+        raise _failure(float(row[invalid if invalid.any() else bad][0]))
     if freqs.ndim == 0:
-        return float(solved.beta[0]), float(solved.alpha[0])
-    return solved.beta, solved.alpha
+        return float(beta[0, 0]), float(alpha[0, 0])
+    return beta[0], alpha[0]
 
 
 def classify(beta, alpha, k0, period) -> np.ndarray:
@@ -246,7 +218,7 @@ def classify(beta, alpha, k0, period) -> np.ndarray:
     A sample is evanescent when it attenuates with its phase pinned at a
     band edge (beta p of 0 or +-pi, exact for the lossless topology);
     otherwise fast waves (|beta| < k0) leak and slow waves are guided.
-    period is one cell period, or one per sample [m].
+    period is one cell period, or a (rows, 1) column of one per row [m].
     """
     beta_p = np.abs(beta) * period
     pinned = (alpha > _EVANESCENT_ALPHA_NP_PER_M) & (
@@ -274,7 +246,8 @@ def dispersion_sweep(
     n_points outside 2..MAX_N_POINTS, and PoleError at the first grid
     frequency whose chain matrix overflows.
     """
-    (sweep,) = _sweeps([cell], f_start, f_stop, n_points)
+    grid = _grid(f_start, f_stop, n_points)
+    (sweep,), *_ = _columns([cell], grid, np.empty((1, 0)), 1)
     if isinstance(sweep, Exception):
         raise sweep
     return sweep
@@ -292,133 +265,70 @@ def _grid(f_start: float, f_stop: float, n_points: int) -> np.ndarray:
     return np.linspace(f_start, f_stop, n_points)
 
 
-def _sweeps(
-    cells: list[CrlhUnitCell], f_start: float, f_stop: float, n_points: int
-) -> Iterator[DispersionSweep | CrlhError]:
-    """The dispersion sweep of each cell on one uniform grid, or the
-    PoleError that stopped it, one cell at a time from _packed; see
-    dispersion_sweep. The grid is checked when the first row is asked for.
+# The slots of a row's columns in _columns: the shared grid, then the row's
+# own gap midpoint, its f_sh, and the trace frequencies after them.
+_SWEEP, _MIDPOINT, _AT_F0, _TRACE = range(4)
+
+
+def _columns(cells: list[CrlhUnitCell], grid: np.ndarray, extra: np.ndarray, states: int):
+    """The kernel over one row per cell: every cell on the grid, then
+    cells[i] at its own frequencies extra[i] (its gap midpoint, its f_sh,
+    then any trace frequencies).
+
+    Returns the sweep of each of the first `states` rows (or the error
+    that stopped it), their beta and alpha at every column, every row's
+    regions on the grid, and a dict from (row, slot) to the error of the
+    row's first column in the slot that fails (see _failure). Columns go
+    through in blocks of at most _SWEEP_BLOCK samples, each block's
+    frequencies built as it is taken: one block hands its arrays back as
+    they are, and a longer grid writes into arrays allocated once.
     """
-    f = _grid(f_start, f_stop, n_points)
-    yield from _packed([_Row(cell, f) for cell in cells])
-
-
-class _Block(NamedTuple):
-    """One row's samples: the DispersionSweep columns in field order, then
-    the chain entries (a, b, c) if the row asks for them."""
-
-    f: np.ndarray
-    beta: np.ndarray
-    alpha: np.ndarray
-    k0: np.ndarray
-    region: np.ndarray
-    leaky: np.ndarray
-    scan_deg: np.ndarray
-    chain: tuple[np.ndarray, np.ndarray, np.ndarray] | None
-
-
-def _as_sweep(block: _Block) -> DispersionSweep:
-    return DispersionSweep(*block[:7])
-
-
-class _Row(NamedTuple):
-    """One cell, or the error that stopped it, at its 1-D frequencies.
-
-    keep maps the row's _Block to what _packed hands over for the row; a
-    row with chain set gets the chain entries in its block.
-    """
-
-    cell: CrlhUnitCell | Exception
-    f: np.ndarray
-    keep: Callable[[_Block], object] = _as_sweep
-    chain: bool = False
-
-
-def _packed(rows: list[_Row]) -> Iterator:
-    """What each row keeps of its samples, or the error that stopped it
-    (its cell's, else that of its first block that fails), in row order.
-
-    Whole rows share a kernel pass up to _SWEEP_BLOCK points, and a row
-    longer than that takes passes of its own in blocks of _SWEEP_BLOCK
-    points. A row is handed over once its last pass is done, and no local
-    keeps it after that, so a caller that drops each row in turn holds one
-    long row at a time.
-    """
-    batch, size = [], 0
-    for row in rows:
-        points = 0 if isinstance(row.cell, Exception) else len(row.f)
-        if batch and size + points > _SWEEP_BLOCK:
-            yield from _pass_results(batch)
-            batch, size = [], 0
-        if points > _SWEEP_BLOCK:
-            # the blocks go straight into the join, so none outlives it
-            starts = range(0, points, _SWEEP_BLOCK)
-            yield _kept(
-                row,
-                [_pass_blocks([row._replace(f=row.f[lo : lo + _SWEEP_BLOCK])])[0] for lo in starts],
-            )
+    rows, g = len(cells), len(grid)
+    width = g + extra.shape[1]
+    values = _cell_values(cells)
+    period = values[5]
+    k0 = _k0(grid)
+    step = max(_SWEEP_BLOCK // rows, 1)
+    spans = [(lo, min(lo + step, width)) for lo in range(0, width, step)]
+    errors: dict = {}
+    out = None
+    for lo, hi in spans:
+        n = max(min(hi, g) - lo, 0)  # the block's grid columns
+        if hi <= g:
+            f = grid[None, lo:hi]
         else:
-            batch.append(row)
-            size += points
-    if batch:
-        yield from _pass_results(batch)
-
-
-def _pass_results(rows: list[_Row]) -> list:
-    """What each row keeps of one kernel pass over the rows, or its error."""
-    built = [row for row in rows if not isinstance(row.cell, Exception)]
-    blocks = iter(_pass_blocks(built) if built else [])
-    return [
-        row.cell if isinstance(row.cell, Exception) else _kept(row, [next(blocks)])
-        for row in rows
+            own = extra[:, max(lo - g, 0) : hi - g]
+            f = np.concatenate([np.broadcast_to(grid[lo:], (rows, n)), own], axis=1)
+        beta, alpha, bad = _kernel(values, f)
+        with np.errstate(all="ignore"):
+            region = classify(beta[:, :n], alpha[:, :n], k0[lo:hi], period)
+            leaky = (region[:states] == _LH) | (region[:states] == _RH)
+            scan_deg = np.where(leaky, _scan_deg(beta[:states, :n], k0[lo:hi]), np.nan)
+        if bad.any():
+            f = np.broadcast_to(f, bad.shape)
+            for r in np.flatnonzero(bad.any(axis=1)).tolist():
+                cols = np.flatnonzero(bad[r])
+                slots = np.searchsorted((g, g + 1, g + 2), cols + lo, side="right")
+                for slot, j in zip(*np.unique(slots, return_index=True)):
+                    errors.setdefault((r, int(slot)), _failure(float(f[r, cols[j]])))
+        block = beta[:states], alpha[:states], region, leaky, scan_deg
+        if len(spans) == 1:
+            out = block
+            break
+        if out is None:
+            sizes = width, width, g, g, g
+            out = [np.empty((len(x), size), x.dtype) for x, size in zip(block, sizes)]
+        for column, x in zip(out, block):
+            column[:, lo : lo + x.shape[1]] = x
+        # so that the next block is taken without this one's arrays
+        del beta, alpha, bad, region, leaky, scan_deg, block, x
+    beta, alpha, region, leaky, scan_deg = out
+    sweeps = [
+        errors.get((i, _SWEEP))
+        or DispersionSweep(grid, beta[i, :g], alpha[i, :g], k0, region[i], leaky[i], scan_deg[i])
+        for i in range(states)
     ]
-
-
-def _pass_blocks(rows: list[_Row]) -> list:
-    """Each row of one kernel pass as its _Block, or as its error. The
-    columns of a row that overflowed are dropped, so their warnings are
-    silenced too.
-    """
-    solved = _kernel([row.cell for row in rows], [row.f for row in rows])
-    bounds = list(accumulate((len(row.f) for row in rows), initial=0))
-    spans = list(zip(bounds, bounds[1:]))
-    # a row that asks for the chain entries gets copies of its own, and the
-    # entries go before the columns are allocated, which can then take their
-    # memory: at the 1,000,000-point cap that keeps `reproduce` at 217 MB
-    # RSS instead of 226 MB
-    chains = [
-        tuple(entry[lo:hi].copy() for entry in solved.chain) if row.chain else None
-        for row, (lo, hi) in zip(rows, spans)
-    ]
-    solved = solved._replace(chain=None)
-    with np.errstate(all="ignore"):
-        k0 = _k0(solved.f)
-        region = classify(solved.beta, solved.alpha, k0, solved.period)
-        leaky = (region == _LH) | (region == _RH)
-        scan_deg = np.where(leaky, _scan_deg(solved.beta, k0), np.nan)
-    columns = solved.f, solved.beta, solved.alpha, k0, region, leaky, scan_deg
-    return [
-        error or _Block(*(column[lo:hi] for column in columns), chain)
-        for (lo, hi), error, chain in zip(spans, solved.errors, chains)
-    ]
-
-
-def _kept(row: _Row, blocks: list):
-    """What row keeps of the blocks of its passes, joined, or the first
-    error among them."""
-    error = next((block for block in blocks if isinstance(block, Exception)), None)
-    if error is not None:
-        return error
-    if len(blocks) == 1:
-        # one block keeps its arrays: joining would copy them into fresh memory
-        return row.keep(blocks[0])
-    # the blocks' frequencies are slices of the row's own, so that array
-    # stands for their join and a long sweep shares its grid
-    columns = map(np.concatenate, zip(*(block[1:7] for block in blocks)))
-    chain = None
-    if row.chain:
-        chain = tuple(map(np.concatenate, zip(*(block.chain for block in blocks))))
-    return row.keep(_Block(row.f, *columns, chain))
+    return sweeps, beta, alpha, region, errors
 
 
 def transition_frequency(
@@ -440,7 +350,9 @@ def transition_frequency(
     """
     f_se, f_sh = _resonances_in(cell, bracket)
     # loss lifts alpha everywhere, so the gap is judged on the lossless cell
-    _check_gapless(f_se, f_sh, bloch_gamma(replace(cell, r_series=0.0), 0.5 * (f_se + f_sh))[1])
+    gap = _gap_error(f_se, f_sh, bloch_gamma(replace(cell, r_series=0.0), 0.5 * (f_se + f_sh))[1])
+    if gap is not None:
+        raise gap
     return f_sh
 
 
@@ -459,15 +371,16 @@ def _resonances_in(cell: CrlhUnitCell, bracket: tuple[float, float]) -> tuple[fl
     return f_se, f_sh
 
 
-def _check_gapless(f_se: float, f_sh: float, alpha: float) -> None:
+def _gap_error(f_se: float, f_sh: float, alpha: float) -> BracketError | None:
     """The stop-band BracketError of transition_frequency, given the
-    lossless alpha midway between f_se and f_sh."""
+    lossless alpha midway between f_se and f_sh; None without a gap."""
     if alpha > _EVANESCENT_ALPHA_NP_PER_M:
-        raise BracketError(
+        return BracketError(
             f"stop band between f_se = {f_se:.9g} Hz and f_sh = {f_sh:.9g} Hz "
             f"(alpha = {alpha:.6g} Np/m midway), so the cell has no single "
             f"transition frequency"
         )
+    return None
 
 
 @dataclass(frozen=True)
@@ -486,51 +399,35 @@ class StateSolution:
     gamma0: tuple[float, float] | Exception  # bloch_gamma at f0: (beta, alpha)
 
 
-def _at_point(block: _Block) -> tuple[float, float]:
-    """(beta, alpha) of a one-point row."""
-    return float(block.beta[0]), float(block.alpha[0])
+def solve(config: RunConfig) -> list[StateSolution]:
+    """Every target state of config, in state order.
+
+    The cells are calibrated one by one, and their sweeps and the points of
+    transition_frequency (each gap midpoint and f_sh) go through one
+    _columns call: one kernel pass on grids up to a third of _SWEEP_BLOCK.
+    Raises the ConfigError of a config without a target state; every
+    _FAILURES error of a state is kept in the slots it stops.
+    """
+    return _solve(config)[0]
 
 
-class _Plan(NamedTuple):
-    """The rows solve() puts through the packer for a config, and how it
-    reads their results back."""
+def _solve(
+    config: RunConfig,
+    detuned: Callable[[CrlhUnitCell], CrlhUnitCell | Exception] | None = None,
+    variates: np.ndarray | None = None,
+) -> tuple[list[StateSolution], list, list]:
+    """solve(config), then per state its detuned control's regions on the
+    grid and its trace samples (f, beta, alpha), each or the error that
+    stopped it.
 
-    states: list[int]
-    cells: list  # per state: its cell, or the error that stopped it
-    grid: np.ndarray
-    crossings: list  # per state: (f_se, f_sh), or the error that stops it
-    # each state's sweep, then two one-point rows per state whose f_sh is
-    # in band: its lossless cell midway between f_se and f_sh, then the
-    # cell itself at f_sh
-    rows: list[_Row]
-
-    def solutions(self, results: list) -> list[StateSolution]:
-        """Every state's StateSolution from what _packed gave for rows."""
-        n = len(self.states)
-        points = iter(results[n:])
-        f0s, gamma0s = list(self.crossings), list(self.crossings)
-        for i, crossing in enumerate(self.crossings):
-            if isinstance(crossing, Exception):
-                continue
-            mid, at_f0 = next(points), next(points)
-            try:
-                if isinstance(mid, Exception):
-                    raise mid
-                _check_gapless(*crossing, mid[1])
-            except _FAILURES as exc:
-                f0s[i] = gamma0s[i] = exc
-                continue
-            f0s[i], gamma0s[i] = crossing[1], at_f0
-        return [
-            StateSolution(*slots)
-            for slots in zip(self.states, self.cells, results[:n], f0s, gamma0s)
-        ]
-
-
-def _plan(config: RunConfig) -> _Plan:
-    """The cells of config's target states, calibrated one by one, and the
-    rows that solve them; the ConfigError of a config without a target
-    state."""
+    detuned maps a state's cell to its control (or the error that stops
+    it), which joins the kernel as one more row on the grid; without it a
+    control is None. variates holds one row of unit variates per state,
+    and lo + (hi - lo) u of a state's row are its trace frequencies in the
+    band, columns after its f_sh; without them a state's trace is empty.
+    The config's cells are lossless, so each gap midpoint is taken on the
+    cell itself.
+    """
     states = config.target_states()
     cells = []
     for n in states:
@@ -538,35 +435,45 @@ def _plan(config: RunConfig) -> _Plan:
             cells.append(config.cell(n))
         except _FAILURES as exc:
             cells.append(exc)
-    grid = _grid(config.f_start, config.f_stop, config.n_points)
-    crossings, rows = list(cells), [_Row(cell, grid) for cell in cells]
-    for i, cell in enumerate(cells):
-        if isinstance(cell, Exception):
-            continue
+    lo, hi = config.f_start, config.f_stop
+    grid = _grid(lo, hi, config.n_points)
+    built = [i for i, cell in enumerate(cells) if not isinstance(cell, Exception)]
+    crossings, extra = [], []
+    for i in built:
+        f_se = f_sh = math.nan
         try:
-            f_se, f_sh = crossings[i] = _resonances_in(cell, (config.f_start, config.f_stop))
+            crossings.append(_resonances_in(cells[i], (lo, hi)))
+            f_se, f_sh = crossings[-1]
         except _FAILURES as exc:
-            crossings[i] = exc
-            continue
-        rows += [
-            _Row(replace(cell, r_series=0.0), np.array([0.5 * (f_se + f_sh)]), _at_point),
-            _Row(cell, np.array([f_sh]), _at_point),
-        ]
-    return _Plan(states, cells, grid, crossings, rows)
-
-
-def solve(config: RunConfig) -> list[StateSolution]:
-    """Every target state of config, in state order.
-
-    The cells are calibrated one by one. Their sweeps and the points of
-    transition_frequency (each lossless gap midpoint, and each cell at its
-    f_sh) go through the kernel together in the passes of _packed: one
-    pass on grids up to a third of _SWEEP_BLOCK. Raises the ConfigError of
-    a config without a target state; every _FAILURES error of a state is
-    kept in the slots it stops.
-    """
-    plan = _plan(config)
-    return plan.solutions(list(_packed(plan.rows)))
+            crossings.append(exc)
+        trace = () if variates is None else lo + (hi - lo) * variates[i]
+        extra.append([0.5 * (f_se + f_sh), f_sh, *trace])
+    controls = [detuned(cells[i]) for i in built] if detuned else [None] * len(built)
+    tuned = [k for k, control in enumerate(controls) if isinstance(control, CrlhUnitCell)]
+    rows = [cells[i] for i in built] + [controls[k] for k in tuned]
+    extra += [extra[k] for k in tuned]
+    if rows:
+        sweeps, beta, alpha, region, errors = _columns(rows, grid, np.array(extra), len(built))
+    g = len(grid)
+    # a cell that cannot be calibrated fills every slot of its state
+    solutions = [StateSolution(n, cell, cell, cell, cell) for n, cell in zip(states, cells)]
+    regions, traces = list(cells), list(cells)
+    for k, i in enumerate(built):
+        f0 = gamma0 = crossings[k]
+        if not isinstance(f0, Exception):
+            f_se, f_sh = f0
+            f0 = gamma0 = errors.get((k, _MIDPOINT)) or _gap_error(f_se, f_sh, float(alpha[k, g]))
+            if f0 is None:
+                f0 = f_sh
+                gamma0 = errors.get((k, _AT_F0)) or (float(beta[k, g + 1]), float(alpha[k, g + 1]))
+        solutions[i] = StateSolution(states[i], cells[i], sweeps[k], f0, gamma0)
+        regions[i] = controls[k]
+        if k in tuned:
+            r = len(built) + tuned.index(k)
+            regions[i] = errors.get((r, _SWEEP)) or region[r]
+        trace = np.array(extra[k][2:]), beta[k, g + 2 :], alpha[k, g + 2 :]
+        traces[i] = errors.get((k, _TRACE)) or trace
+    return solutions, regions, traces
 
 
 def scan_profile(

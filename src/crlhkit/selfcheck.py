@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import idc
-from .bloch import _FAILURES, REGIONS, DispersionSweep, Region, _Block, _packed, _plan, _Row
+from .bloch import _FAILURES, REGIONS, DispersionSweep, Region, _cell_values, _chain, _solve
 from .cell import CrlhUnitCell
 from .config import RunConfig
 
@@ -68,13 +68,13 @@ def _first_error(slots: list) -> Exception | None:
     return next((slot for slot in slots if isinstance(slot, Exception)), None)
 
 
-def _gap_samples(sweep: DispersionSweep | _Block) -> int:
-    """Evanescent samples between the first and last pass-band one, leaky
-    or slow; -1 without any."""
-    passing = np.flatnonzero(sweep.region != _EVANESCENT)
+def _gap_samples(region: np.ndarray) -> int:
+    """Evanescent samples of a row of regions between the first and last
+    pass-band one, leaky or slow; -1 without any."""
+    passing = np.flatnonzero(region != _EVANESCENT)
     if not passing.size:
         return -1
-    return int(np.count_nonzero(sweep.region[passing[0] : passing[-1] + 1] == _EVANESCENT))
+    return int(np.count_nonzero(region[passing[0] : passing[-1] + 1] == _EVANESCENT))
 
 
 def check_capacitance_anchor(config: RunConfig) -> tuple[bool, str]:
@@ -121,11 +121,9 @@ def check_broadside_tuning(config: RunConfig, f0s: Transitions) -> tuple[bool, s
     return ok, "; ".join(parts) + f" (allow {TUNING_RTOL:.1%})"
 
 
-def _detuned(cell: CrlhUnitCell | Exception) -> CrlhUnitCell | Exception:
+def _detuned(cell: CrlhUnitCell) -> CrlhUnitCell | Exception:
     """The detuned control of a cell: its shunt branch's C_R scaled by
     DETUNE, or the error that stops it."""
-    if isinstance(cell, Exception):
-        return cell
     try:
         return replace(cell, c_r=DETUNE * cell.c_r)
     except _FAILURES as exc:
@@ -137,14 +135,13 @@ def check_closed_stopband(sweeps: Sweeps, gamma0s: Gammas, controls: Controls) -
 
     controls holds each state's detuned control (_detuned) on the sweep's
     grid as its gap samples, or as the error that stopped it. run_all
-    takes the controls through its one packer with the design's other
-    rows, and each is reduced to its gap count as its pass ends, so memory
-    stays bounded and an error of one fails this check alone.
+    solves the controls as rows of the design's one solve and keeps only
+    their regions, so an error of one fails this check alone.
     """
     parts = []
     ok = True
     for n in sweeps:
-        gap = _gap_samples(sweeps[n])
+        gap = _gap_samples(sweeps[n].region)
         alpha0 = _value(gamma0s[n])[1]
         opened = max(_value(controls[n]), 0)
         state_ok = gap == 0 and alpha0 <= BROADSIDE_ALPHA_MAX and opened > 0
@@ -185,31 +182,33 @@ def check_beam_consistency(config: RunConfig, cells: Cells, sweeps: Sweeps) -> t
 
 
 def check_scan_coverage(config: RunConfig, sweeps: Sweeps) -> tuple[bool, str]:
-    """Scanning reaches both +/- 45 deg and passes broadside exactly once."""
+    """Scanning reaches both +/- 45 deg and passes broadside exactly once.
+
+    Broadside is crossed at a leaky sample of angle 0, else between two
+    consecutive leaky samples of opposite sign, at the linear interpolant.
+    """
     parts = []
     ok = True
     for n, sweep in sweeps.items():
-        profile = sweep.scan_profile()
-        angles = [theta for _, theta in profile]
-        crossings = []
-        for (f_a, t_a), (f_b, t_b) in zip(profile, profile[1:]):
-            if t_a == 0.0:
-                crossings.append(f_a)
-            elif t_a * t_b < 0.0:
-                crossings.append(f_a - t_a * (f_b - f_a) / (t_b - t_a))
-        if profile and profile[-1][1] == 0.0:
-            crossings.append(profile[-1][0])
+        f, t = sweep.f[sweep.leaky], sweep.scan_deg[sweep.leaky]
+        f_a, t_a, f_b, t_b = f[:-1], t[:-1], f[1:], t[1:]
+        at_zero = t_a == 0.0
+        with np.errstate(all="ignore"):
+            between = f_a - t_a * (f_b - f_a) / (t_b - t_a)
+        crossings = np.where(at_zero, f_a, between)[at_zero | (t_a * t_b < 0.0)].tolist()
+        if t.size and t[-1] == 0.0:
+            crossings.append(float(f[-1]))
         step = (config.f_stop - config.f_start) / (config.n_points - 1)
         target = config.targets[n]
-        state_ok = (
-            bool(profile)
-            and min(angles) <= -SCAN_LIMIT_DEG
-            and max(angles) >= SCAN_LIMIT_DEG
+        state_ok = bool(
+            t.size
+            and t.min() <= -SCAN_LIMIT_DEG
+            and t.max() >= SCAN_LIMIT_DEG
             and len(crossings) == 1
             and abs(crossings[0] - target) <= step
         )
         ok = ok and state_ok
-        span = f"{min(angles):.1f}..{max(angles):.1f} deg" if profile else "empty"
+        span = f"{t.min():.1f}..{t.max():.1f} deg" if t.size else "empty"
         at = f"{crossings[0] / 1e9:.4f} GHz" if len(crossings) == 1 else f"{len(crossings)} crossings"
         parts.append(f"{n}f: {span}, broadside at {at}")
     return ok, "; ".join(parts)
@@ -228,16 +227,6 @@ def _trace_variates() -> np.ndarray:
     return u
 
 
-def _trace_rows(config: RunConfig, cells: list) -> list[_Row]:
-    """Each cell at its N_TRACE_FREQS seeded frequencies in the band, as
-    _packed rows whose blocks keep the chain entries."""
-    lo, hi = config.f_start, config.f_stop
-    return [
-        _Row(cell, lo + (hi - lo) * u, lambda block: block, chain=True)
-        for cell, u in zip(cells, _trace_variates())
-    ]
-
-
 def _eighth_power(a, b, c):
     """Entries (a, b, c) of M^8 for symmetric chain matrices M = [[a, b], [c, a]].
 
@@ -249,44 +238,43 @@ def _eighth_power(a, b, c):
     return a, b, c
 
 
-def check_trace_identity(
-    config: RunConfig, cells: Cells, rows: list | None = None
-) -> tuple[bool, str]:
+def check_trace_identity(cells: Cells, traces: list) -> tuple[bool, str]:
     """trace(M^8) equals 2 cosh(8 gamma p) at random frequencies.
 
-    rows are the _packed results of _trace_rows over the cells, as run_all
-    takes them in its one pass; without them the check makes a pass of its
-    own. Every state's samples are compared at once, and the first that
-    fails, in state order, fails the check; a row that could not be solved
-    raises its error once the states before it pass.
+    traces holds each state's (f, beta, alpha) at its N_TRACE_FREQS seeded
+    frequencies, as run_all's solve gives them, or the error that stopped
+    them; the chain entries are formed again at those frequencies. Every
+    state's samples are compared at once, and the first that fails, in
+    state order, fails the check; a state that could not be solved raises
+    its error once the states before it pass.
     """
-    if rows is None:
-        rows = list(_packed(_trace_rows(config, list(cells.values()))))
-    solved = next((i for i, row in enumerate(rows) if isinstance(row, Exception)), len(rows))
-    states, blocks = list(cells.items())[:solved], rows[:solved]
+    solved = next((i for i, row in enumerate(traces) if isinstance(row, Exception)), len(traces))
+    states, rows = list(cells.items())[:solved], traces[:solved]
     worst = 0.0
-    if blocks:
-        period = np.array([[cell.period] for _, cell in states])
-        gp8 = np.empty((len(blocks), N_TRACE_FREQS), dtype=complex)  # 8 gamma p
-        gp8.real = 8.0 * (np.array([block.alpha for block in blocks]) * period)
-        gp8.imag = 8.0 * (np.array([block.beta for block in blocks]) * period)
-        a, b, c = (np.array(entry) for entry in zip(*(block.chain for block in blocks)))
+    if rows:
+        f, beta, alpha = (np.array(column) for column in zip(*rows))
+        values = _cell_values([cell for _, cell in states])
+        period = values[5]
+        gp8 = np.empty(f.shape, dtype=complex)  # 8 gamma p
+        gp8.real = 8.0 * (alpha * period)
+        gp8.imag = 8.0 * (beta * period)
         with np.errstate(all="ignore"):
+            a, b, c, _ = _chain(values, f)
             trace = 2.0 * _eighth_power(a, b, c)[0]
             expected = 2.0 * np.cosh(gp8)
             rel = np.abs(trace - expected) / np.maximum(1.0, np.abs(expected))
         failed = ~np.isfinite(rel)
         if failed.any():
             i, j = np.unravel_index(failed.argmax(), failed.shape)
-            n, at = states[i][0], f"at {blocks[i].f[j] / 1e9:.6f} GHz"
+            n, at = states[i][0], f"at {f[i, j] / 1e9:.6f} GHz"
             # the cosh of a finite 8 gamma p that is not finite overflowed
             if np.isfinite(gp8[i, j]) and not np.isfinite(expected[i, j]):
                 return False, f"{n}f: 2 cosh(8 gamma p) overflows {at}"
             side = "2 cosh(8 gamma p)" if np.isfinite(trace[i, j]) else "trace(M^8)"
             return False, f"{n}f: {side} is not finite {at}"
         worst = float(rel.max())
-    if solved < len(rows):
-        raise rows[solved]
+    if solved < len(traces):
+        raise traces[solved]
     shown = f"< {TRACE_NOISE:.0e}" if worst < TRACE_NOISE else f"{worst:.2e}"
     return (
         worst <= TRACE_RTOL,
@@ -326,25 +314,23 @@ def _run(name: str, check, *args) -> CheckResult:
 def run_all(config: RunConfig) -> list[CheckResult]:
     """Every check, in report order; one that cannot run is reported failed.
 
-    Every Bloch evaluation of the run goes through one packer: the rows
-    that solve() takes for the design, then each state's detuned control
-    and its trace frequencies, so at the default grid the checks read one
-    kernel pass. The first cell that fails, else the first sweep, fails
-    the six per-state checks with its error, as does a config without any
-    target state; the first transition that fails fails the two checks
-    that read the transitions.
+    Every Bloch evaluation of the run goes through one solve: the design's
+    states, each state's detuned control as one more row, and its trace
+    frequencies as columns after its own, so at the default grid the
+    checks read one kernel pass. The first cell that fails, else the first
+    sweep, fails the six per-state checks with its error, as does a config
+    without any target state; the first transition that fails fails the
+    two checks that read the transitions.
     """
     try:
-        plan = _plan(config)
+        states, regions, traces = _solve(config, _detuned, _trace_variates())
     except _FAILURES as exc:
         error = controls = traces = exc
     else:
-        detuned = [_Row(_detuned(cell), plan.grid, _gap_samples) for cell in plan.cells]
-        results = list(_packed(plan.rows + detuned + _trace_rows(config, plan.cells)))
-        k, m = len(plan.rows), len(plan.states)
-        states = plan.solutions(results[:k])
-        controls = dict(zip(plan.states, results[k : k + m]))
-        traces = results[k + m :]
+        controls = {
+            s.fingers: region if isinstance(region, Exception) else _gap_samples(region)
+            for s, region in zip(states, regions)
+        }
         error = _first_error([s.cell for s in states] + [s.sweep for s in states])
     if error is not None:
         cells = sweeps = f0s = gamma0s = error
@@ -362,7 +348,7 @@ def run_all(config: RunConfig) -> list[CheckResult]:
         _run("gapless balanced bands", check_closed_stopband, sweeps, gamma0s, controls),
         _run("beam consistency", check_beam_consistency, config, cells, sweeps),
         _run("full-space scanning", check_scan_coverage, config, sweeps),
-        _run("cascade trace identity", check_trace_identity, config, cells, traces),
+        _run("cascade trace identity", check_trace_identity, cells, traces),
         _run("backward-wave slope", check_backward_slope, sweeps),
     ]
 

@@ -12,13 +12,13 @@ from scipy.optimize import brentq
 
 import bloch_oracle
 from perturb import CELL_SCALES, R_SERIES, perturbed
-from crlhkit import bloch
+from crlhkit import bloch, selfcheck
 from crlhkit.bloch import (
     MAX_N_POINTS,
     REGIONS,
     Region,
+    _cell_values,
     _chain,
-    _elements,
     _scan_deg,
     bloch_gamma,
     classify,
@@ -51,6 +51,11 @@ def region_runs(sweep):
     return runs
 
 
+def one_cell_chain(cell, f):
+    """The kernel's chain entries and overflow mask of one cell at f."""
+    return [entry[0] for entry in _chain(_cell_values([cell]), f[None, :])]
+
+
 def branch_cascade(cell, f: float) -> np.ndarray:
     """Half series branch, shunt branch, half series branch, multiplied out."""
     w = 2.0 * math.pi * f
@@ -69,7 +74,7 @@ class TestAbcd:
         # must agree that they are equal
         f = np.array([8.0e9, 9.3e9, 11.5e9])
         for cell in cells.values():
-            a, b, c, overflow = _chain(_elements([cell], [len(f)]), f)
+            a, b, c, overflow = one_cell_chain(cell, f)
             assert not overflow.any()
             for i, fi in enumerate(f.tolist()):
                 m = branch_cascade(cell, fi)
@@ -79,7 +84,7 @@ class TestAbcd:
     def test_reciprocity(self, cells):
         f = np.linspace(7.6e9, 11.9e9, 7)
         for cell in cells.values():
-            a, b, c, _ = _chain(_elements([cell], [len(f)]), f)
+            a, b, c, _ = one_cell_chain(cell, f)
             assert (np.abs(a * a - b * c - 1.0) < 1e-10).all()
 
     def test_rejects_nonpositive_frequency(self, cells):
@@ -403,33 +408,67 @@ def one_row_sweeps(cells, f_start, f_stop, n_points):
     return out
 
 
+def one_row_gammas(cell, f):
+    """bloch_gamma of a cell at f, or the error it raises."""
+    try:
+        return bloch_gamma(cell, f)
+    except (PoleError, ValueError) as exc:
+        return exc
+
+
+def own_slots(width):
+    """The slot of each of a row's own columns: midpoint, f_sh, then trace."""
+    return [(bloch._MIDPOINT, bloch._AT_F0, bloch._TRACE)[min(j, 2)] for j in range(width)]
+
+
+def stacked(cells, grid, extra, states, budget):
+    """_columns over the cells under a _SWEEP_BLOCK budget."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bloch, "_SWEEP_BLOCK", budget)
+        return bloch._columns(cells, np.linspace(*grid), np.array(extra), states)
+
+
 STACKED_STATES = st.lists(
     st.tuples(st.sampled_from([2, 3, 4]), CELL_SCALES, R_SERIES), min_size=1, max_size=6
 )
-# grid lengths off the 8-lane SIMD width, and pass budgets that split the
-# rows across passes, put several rows in one pass, or keep the default
+# grid lengths off the 8-lane SIMD width, and block budgets that split the
+# grid into one column a block, into several columns, or keep the default
 SPLIT_GRID = st.integers(min_value=2, max_value=400).filter(lambda n: n % 8)
 PASS_BUDGETS = st.sampled_from([5, 64, 450, bloch._SWEEP_BLOCK])
 
 
 class TestStackedKernel:
-    """Cells stacked into one kernel pass get the bits of their one-row calls."""
+    """Cells stacked into one cells x columns kernel get the bits of their
+    one-row calls."""
 
     @settings(max_examples=60, deadline=None)
-    @given(states=STACKED_STATES, n_points=SPLIT_GRID, budget=PASS_BUDGETS)
-    def test_stacked_sweeps_equal_the_one_row_calls(self, cells, states, n_points, budget):
+    @given(
+        states=STACKED_STATES,
+        n_points=SPLIT_GRID,
+        budget=PASS_BUDGETS,
+        data=st.data(),
+    )
+    def test_stacked_sweeps_equal_the_one_row_calls(self, cells, states, n_points, budget, data):
+        # the first rows are states, the rest keep their regions only, as
+        # the detuned controls of `reproduce` do; every row has its own
+        # columns after the grid
         stack = stacked_cells(cells, states)
+        n_states = data.draw(st.integers(min_value=1, max_value=len(stack)))
+        width = data.draw(st.integers(min_value=0, max_value=24))
+        in_band = st.floats(min_value=6.0e9, max_value=13.0e9)
+        extra = [data.draw(st.lists(in_band, min_size=width, max_size=width)) for _ in stack]
         grid = (6.0e9, 13.0e9, n_points)
-        singles = one_row_sweeps(stack, *grid)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(bloch, "_SWEEP_BLOCK", budget)
-            stacked = bloch._sweeps(stack, *grid)
-        for cell, one, many in zip(stack, singles, stacked):
+        sweeps, beta_all, alpha_all, region, errors = stacked(stack, grid, extra, n_states, budget)
+        assert errors == {}
+        for i, (cell, one) in enumerate(zip(stack, one_row_sweeps(stack, *grid))):
+            assert region[i].tobytes() == one.region.tobytes()
+            if i >= n_states:
+                continue
             for name, column in vars(one).items():
-                assert getattr(many, name).tobytes() == column.tobytes(), name
-            beta, alpha = bloch_gamma(cell, one.f)
-            assert many.beta.tobytes() == beta.tobytes()
-            assert many.alpha.tobytes() == alpha.tobytes()
+                assert getattr(sweeps[i], name).tobytes() == column.tobytes(), name
+            beta, alpha = bloch_gamma(cell, np.concatenate([one.f, extra[i]]))
+            assert beta_all[i].tobytes() == beta.tobytes()
+            assert alpha_all[i].tobytes() == alpha.tobytes()
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -440,17 +479,18 @@ class TestStackedKernel:
         # 1.3e111 Hz (2 fingers) to 2.9e111 Hz (4 fingers), so some rows of
         # a stack fail and others do not
         f_stop=st.floats(min_value=1e111, max_value=5e111),
+        data=st.data(),
     )
     def test_a_row_that_overflows_names_its_own_frequency(
-        self, cells, states, n_points, budget, f_stop
+        self, cells, states, n_points, budget, f_stop, data
     ):
         stack = stacked_cells(cells, states)
+        width = data.draw(st.integers(min_value=0, max_value=6))
+        around = st.floats(min_value=1e110, max_value=5e111)
+        extra = [data.draw(st.lists(around, min_size=width, max_size=width)) for _ in stack]
         grid = (1e9, f_stop, n_points)
-        singles = one_row_sweeps(stack, *grid)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(bloch, "_SWEEP_BLOCK", budget)
-            stacked = bloch._sweeps(stack, *grid)
-        for cell, one, many in zip(stack, singles, stacked):
+        sweeps, _, _, _, errors = stacked(stack, grid, extra, len(stack), budget)
+        for i, (cell, one) in enumerate(zip(stack, one_row_sweeps(stack, *grid))):
             # the scalar oracle's first grid point whose chain entries overflow
             first = next(
                 (
@@ -460,63 +500,83 @@ class TestStackedKernel:
                 ),
                 None,
             )
+            many = sweeps[i]
             if first is None:
                 assert many.beta.tobytes() == one.beta.tobytes()
             else:
                 assert isinstance(one, PoleError) and isinstance(many, PoleError)
                 assert many.frequency == one.frequency == first
                 assert str(many) == str(one)
+            # each slot of the row's own columns holds the error of its
+            # first column that fails, as a one-row call on them raises it
+            slots = own_slots(width)
+            for slot in set(slots):
+                f = np.array([x for x, s in zip(extra[i], slots) if s == slot])
+                expected = one_row_gammas(cell, f)
+                got = errors.get((i, slot))
+                if isinstance(expected, Exception):
+                    assert type(got) is type(expected) and str(got) == str(expected)
+                else:
+                    assert got is None
 
     def test_one_pass_equals_the_one_row_calls_at_mixed_frequencies(self, cells):
-        # rows of different lengths, one with a frequency that is not valid
-        fs = [np.array([9.3e9]), np.linspace(7.5e9, 12e9, 13), np.array([8e9, -1.0, math.inf])]
-        solved = bloch._kernel([cells[2], cells[3], cells[4]], fs)
-        assert solved.errors[:2] == [None, None]
-        assert str(solved.errors[2]) == "frequency must be positive and finite, got -1.0"
-        beta, alpha = bloch_gamma(cells[3], fs[1])
-        assert solved.beta[1:14].tobytes() == beta.tobytes()
-        assert solved.alpha[1:14].tobytes() == alpha.tobytes()
-        assert (solved.beta[0], solved.alpha[0]) == bloch_gamma(cells[2], 9.3e9)
+        # each row's own columns after a shared grid, one of them a
+        # frequency that is not valid, another one that overflows
+        grid = np.linspace(7.5e9, 12e9, 13)
+        extra = [[9.3e9, 9.5e9, 8e9], [8e9, -1.0, math.inf], [8e9, 9e9, 2e111]]
+        rows = [cells[2], cells[3], cells[4]]
+        sweeps, beta, alpha, _, errors = bloch._columns(rows, grid, np.array(extra), 3)
+        assert {key: str(exc) for key, exc in errors.items()} == {
+            (1, bloch._AT_F0): "frequency must be positive and finite, got -1.0",
+            (1, bloch._TRACE): "frequency must be positive and finite, got inf",
+        }
+        for cell, sweep in zip(rows, sweeps):
+            one = bloch_gamma(cell, grid)
+            assert [sweep.beta.tobytes(), sweep.alpha.tobytes()] == [x.tobytes() for x in one]
+        assert (beta[0, 13], alpha[0, 13]) == bloch_gamma(cells[2], 9.3e9)
+        assert (beta[2, 14], alpha[2, 14]) == bloch_gamma(cells[4], 9e9)
+        # 2e111 Hz overflows the 2-finger cell alone
+        errors = bloch._columns([cells[2]], grid, np.array([[8e9, 9e9, 2e111]]), 1)[-1]
+        assert list(errors) == [(0, bloch._TRACE)]
+        assert errors[0, bloch._TRACE].frequency == 2e111
 
-    def test_a_dense_solve_holds_one_state_in_flight(self, config):
-        # the three 15,001-point states each take a pass of their own, so
-        # the solve peaks at one state's kernel transient above the results
+    def test_a_dense_solve_holds_one_block_in_flight(self, config):
+        # the three 15,001-point states take their columns in blocks of
+        # _SWEEP_BLOCK samples, so the solve peaks at its results plus what
+        # one block of that many samples allocates
         dense = replace(config, n_points=15001)
         cell = dense.cell(4)
-        dispersion_sweep(cell, dense.f_start, dense.f_stop, dense.n_points)
         tracemalloc.start()
         try:
-            one = dispersion_sweep(cell, dense.f_start, dense.f_stop, dense.n_points)
-            transient = tracemalloc.get_traced_memory()[1]
-            transient -= sum(column.nbytes for column in vars(one).values())
-            del one
+            dispersion_sweep(cell, dense.f_start, dense.f_stop, bloch._SWEEP_BLOCK)
+            block = tracemalloc.get_traced_memory()[1]
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
             states = solve(dense)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        results = sum(column.nbytes for s in states for column in vars(s.sweep).values())
-        assert peak <= transient + results + 64 * 1024, (peak, transient, results)
+        # the states share their grid and k0 columns, and their other columns
+        # are rows of arrays that hold every state's
+        columns = [column for s in states for column in vars(s.sweep).values()]
+        arrays = {id(a): a for a in (c if c.base is None else c.base for c in columns)}
+        results = sum(a.nbytes for a in arrays.values())
+        assert peak <= results + block + 64 * 1024, (peak, results, block)
 
-    def test_sweeps_dropped_in_turn_hold_one_row_at_a_time(self, config, cells):
-        # as the detuned controls of `reproduce` are: each row's gap is
-        # counted and the row dropped before the next is swept
-        grid = (config.f_start, config.f_stop, 15001)
-        dispersion_sweep(cells[4], *grid)
+    def test_a_dense_reproduce_peaks_under_4_36_mb(self, config):
+        # run_all on a 15,001-point grid: three states, their detuned
+        # controls and trace frequencies in one solve, then every check
+        dense = replace(config, n_points=15001)
+        selfcheck.run_all(dense)
         tracemalloc.start()
         try:
-            dispersion_sweep(cells[4], *grid)
-            one = tracemalloc.get_traced_memory()[1]
-            tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
-            rows = bloch._sweeps([cells[2], cells[3], cells[4]], *grid)
-            leaky = [int(next(rows).leaky.sum()) for _ in range(3)]
+            results = selfcheck.run_all(dense)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert min(leaky) > 0
-        assert peak <= one + 64 * 1024, (peak, one)
+        assert all(r.passed for r in results)
+        assert peak <= 4.36e6, peak
 
 
 class TestSolve:

@@ -57,6 +57,17 @@ def imported_modules(report):
     }
 
 
+def trace_samples(config, cells):
+    """Each cell's (f, beta, alpha) at its seeded trace frequencies in the
+    config's band, from one-row calls."""
+    lo, hi = config.f_start, config.f_stop
+    out = []
+    for cell, u in zip(cells.values(), selfcheck._trace_variates()):
+        f = lo + (hi - lo) * u
+        out.append((f, *bloch.bloch_gamma(cell, f)))
+    return out
+
+
 NO_TARGETS = "target_2_ghz = none\ntarget_3_ghz = none\ntarget_4_ghz = none\n"
 NO_TARGETS_ERROR = "no target state: target_2_ghz, target_3_ghz and target_4_ghz are all none"
 
@@ -174,6 +185,30 @@ class TestConfigParsing:
                 config.cell(n)
         except (CrlhError, ValueError):
             pass
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.fixed_dictionaries(
+            {},
+            optional={
+                "finger_length_mm": st.floats(min_value=0.3, max_value=2.0),
+                "gap_mm": st.floats(min_value=0.1, max_value=0.8),
+                "epsilon_r": st.floats(min_value=1.0, max_value=12.0),
+                "sheet_resistance_ohm_per_sq": st.floats(min_value=0.0, max_value=10.0),
+                **{f"target_{n}_ghz": st.floats(min_value=5.0, max_value=15.0) for n in (2, 3, 4)},
+            },
+        ),
+        st.sampled_from(config_module.available_profiles()),
+    )
+    def test_config_cells_are_lossless(self, tmp_path_factory, values, profile):
+        # solve takes each state's gap midpoint on its cell as built, which
+        # is transition_frequency's lossless cell only while it has no loss
+        path = tmp_path_factory.mktemp("lossless") / "design.cfg"
+        path.write_text("".join(f"{k} = {v!r}\n" for k, v in values.items()))
+        for source in (None, str(path)):
+            config = resolve_config(source, env={"CRLH_PROFILE": profile})
+            for n in config.target_states():
+                assert config.cell(n).r_series == 0.0
 
     def test_comments_and_blanks_ignored(self):
         values = parse_config_text("# header\n\nfingers = 3  # trailing\n")
@@ -842,23 +877,23 @@ class TestCliCommands:
         assert "detuned gap 0" not in gapless.detail
 
     def test_reproduce_solves_each_state_once(self, tmp_path, monkeypatch, capsys):
-        # one kernel pass takes every row: the sweeps, the gap midpoints
-        # with each f_sh, then, in `reproduce` alone, the detuned controls
-        # and the trace identity's 20 frequencies a state
-        points = []
+        # one kernel pass takes every sample: a row per state on the grid,
+        # then its gap midpoint and f_sh, and, in `reproduce` alone, a row
+        # per detuned control and the trace identity's 20 frequencies a state
+        shapes = []
 
-        def counted(elements, f):
-            points.append(len(f))
-            return chain(elements, f)
+        def counted(values, f):
+            shapes.append(np.broadcast_shapes(f.shape, values[0].shape))
+            return chain(values, f)
 
         chain = bloch._chain
         monkeypatch.setattr(bloch, "_chain", counted)
         assert main(["reproduce"]) == 0
         assert "8/8 checks passed" in capsys.readouterr().out
-        assert points == [2 * 3 * 451 + 3 * 2 + 3 * 20]
-        points.clear()
+        assert shapes == [(2 * 3, 451 + 2 + 20)]
+        shapes.clear()
         assert main(["sweep", "--out", str(tmp_path)]) == 0
-        assert points == [3 * 451 + 3 * 2]
+        assert shapes == [(3, 451 + 2)]
         # the beam check reads the sweeps alone: no pattern is built
         proc = run_python(
             "-c",
@@ -880,8 +915,8 @@ class TestCliCommands:
         ids=["paper-default", "perturbed-a", "perturbed-b"],
     )
     def test_reproduce_reads_the_same_under_every_pass_budget(self, tmp_path, monkeypatch, text):
-        # a budget of 5 splits every row into blocks, 64 and 450 pack the
-        # short rows apart from the sweeps and split the 451-point ones
+        # a budget of 5 takes one column a block, 64 and 450 split the
+        # grid into blocks and put the own columns of every row in the last
         config = resolve_config(write_cfg(tmp_path, text), env={})
         whole = selfcheck.run_all(config)
         for budget in (5, 64, 450, bloch._SWEEP_BLOCK):
@@ -983,28 +1018,31 @@ class TestCliCommands:
     def test_trace_identity_prints_rounding_noise_as_a_bound(self, config, cells, monkeypatch):
         # the noise digits follow the platform's SIMD math; only a larger
         # error is printed in full
-        ok, detail = selfcheck.check_trace_identity(config, cells)
+        traces = trace_samples(config, cells)
+        ok, detail = selfcheck.check_trace_identity(cells, traces)
         assert ok and detail.startswith("worst relative error < 1e-12 over 20 ")
         monkeypatch.setattr(selfcheck, "TRACE_NOISE", 0.0)
-        ok, detail = selfcheck.check_trace_identity(config, cells)
+        ok, detail = selfcheck.check_trace_identity(cells, traces)
         assert ok and re.match(r"worst relative error \d\.\d\de-\d\d over 20 ", detail)
 
     @pytest.mark.parametrize("band", [(7.5e9, 12e9), (1e9, 40e9)], ids=["paper-band", "wide-band"])
     def test_trace_frequencies_are_the_seeded_uniform_draws(self, config, cells, band):
-        # each state draws from one generator in turn, as Generator.uniform does
+        # each state draws from one generator in turn, as Generator.uniform
+        # does, and its samples there are those of its one-row call
         config = replace(config, f_start=band[0], f_stop=band[1])
         rng = np.random.default_rng(selfcheck.TRACE_SEED)
-        rows = selfcheck._trace_rows(config, list(cells.values()))
-        assert len(rows) == 3
-        for row in rows:
-            assert row.f.tobytes() == rng.uniform(*band, selfcheck.N_TRACE_FREQS).tobytes()
+        traces = bloch._solve(config, variates=selfcheck._trace_variates())[2]
+        assert len(traces) == 3
+        for (f, beta, alpha), one in zip(traces, trace_samples(config, cells)):
+            assert f.tobytes() == rng.uniform(*band, selfcheck.N_TRACE_FREQS).tobytes()
+            assert [x.tobytes() for x in (f, beta, alpha)] == [x.tobytes() for x in one]
 
     @pytest.mark.parametrize("band", [(7.5e9, 12e9), (1e9, 40e9)], ids=["paper-band", "wide-band"])
     def test_trace_squarings_match_the_matrix_power(self, config, cells, band):
         # the trace the check judges, relative as the check takes it
         config = replace(config, f_start=band[0], f_stop=band[1])
-        for row in bloch._packed(selfcheck._trace_rows(config, list(cells.values()))):
-            a, b, c = row.chain
+        for cell, (f, _, _) in zip(cells.values(), trace_samples(config, cells)):
+            a, b, c, _ = (entry[0] for entry in bloch._chain(bloch._cell_values([cell]), f[None, :]))
             m8 = np.linalg.matrix_power(np.stack([a, b, c, a], axis=-1).reshape(-1, 2, 2), 8)
             oracle = m8[:, 0, 0] + m8[:, 1, 1]
             trace = 2.0 * selfcheck._eighth_power(a, b, c)[0]
@@ -1014,7 +1052,7 @@ class TestCliCommands:
         # a huge shunt admittance overflows M^4 into NaN while
         # 2 cosh(8 gamma p) stays near 1e139; max() would drop the NaN
         cell = CrlhUnitCell(l_r=1e-300, c_r=1.8e296, l_l=1.0, c_l=1e300, period=5e-3)
-        ok, detail = selfcheck.check_trace_identity(config, {2: cell})
+        ok, detail = selfcheck.check_trace_identity({2: cell}, trace_samples(config, {2: cell}))
         assert not ok
         assert re.fullmatch(r"2f: trace\(M\^8\) is not finite at \d+\.\d{6} GHz", detail)
 
